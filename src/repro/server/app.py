@@ -20,11 +20,13 @@ cleanly:
   state plus the lazy creation, restore, and routing rules;
 * :class:`ProfileDaemon` — the asyncio server plus registry/store
   lifecycle: restore-or-cold-start every known tenant on boot,
-  checkpoint after every mutating request, periodic artifact-store GC
-  sweeps under ``gc_max_bytes`` (every tenant's checkpoint slot and
-  the tenant directory are pinned, so eviction can never eat daemon
-  state), and graceful shutdown — SIGTERM stops the listener, drains
-  in-flight requests, and writes a final checkpoint per tenant, so a
+  checkpoint after every mutating request (a slot of live state plus
+  an append-only journal, both fsynced before the acknowledgement),
+  periodic artifact-store GC sweeps under ``gc_max_bytes`` (every
+  tenant's checkpoint slot, its journal and the tenant directory are
+  pinned, so eviction can never eat daemon state), and graceful
+  shutdown — SIGTERM stops the listener, drains in-flight requests,
+  and writes a final checkpoint per dirty tenant, so a
   restarted daemon resumes every tenant with no double-counting
   (replayed uploads dedup by content digest);
 * :func:`start_daemon_thread` — the test/example harness: the same
@@ -69,7 +71,6 @@ from repro.service import (
     checkpoint_key,
     default_store,
 )
-from repro.service.aggregate import quarantine_profile
 
 from .http import BadRequest, Response, read_request, write_response
 
@@ -155,6 +156,9 @@ class Tenant:
     #: own.  Held only around in-memory work (fold, serialize,
     #: materialize), never across disk writes.
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Serializes whole checkpoints, disk writes included: journal
+    #: appends must land in the order their states were taken.
+    checkpoint_lock: threading.Lock = field(default_factory=threading.Lock)
     restored: bool = False
     #: Report dict of this tenant's most recent successful ``/repack``.
     last_report: Optional[Dict] = None
@@ -169,16 +173,21 @@ class Tenant:
             return self.aggregator.snapshot()
 
     def checkpoint(self, store: ArtifactStore) -> bool:
-        """Persist the aggregator; never fatal.
+        """Persist the aggregator if anything changed; never fatal.
 
-        State is serialized under :attr:`lock` so a concurrent ingest
-        cannot tear it; the disk write happens unlocked.
+        A tenant with no fold or quarantine since its last checkpoint
+        writes nothing.  State is serialized under :attr:`lock` so a
+        concurrent ingest cannot tear it; the disk writes happen
+        outside it, under :attr:`checkpoint_lock`.
         """
-        with self.lock:
-            if not self.aggregator.documents:
-                return False
-            state = self.aggregator.to_state()
-        return self.aggregator.save_checkpoint(store, self.tag, state=state)
+        with self.checkpoint_lock:
+            with self.lock:
+                if not self.aggregator.documents or not self.aggregator.dirty:
+                    return False
+                state = self.aggregator.to_state()
+            return self.aggregator.save_checkpoint(
+                store, self.tag, state=state
+            )
 
     def counters(self) -> Dict:
         """Thread-safe ingest counters for health/metrics/dashboard."""
@@ -332,9 +341,7 @@ class ProfileDaemon:
                 except OSError as exc:
                     tenant = self.registry.default
                     with tenant.lock:
-                        tenant.aggregator.rejected.append(
-                            quarantine_profile(str(path), exc)
-                        )
+                        tenant.aggregator.reject(str(path), exc)
                     continue
                 self.route_text(text, name=str(path))
 
@@ -410,7 +417,7 @@ class ProfileDaemon:
         return saved
 
     def checkpoint(self) -> bool:
-        """Persist every tenant; counted, never fatal."""
+        """Persist every dirty tenant; counted, never fatal."""
         saved = False
         for tenant in self.registry.tenants():
             saved = self.checkpoint_tenant(tenant) or saved
@@ -488,9 +495,8 @@ class ProfileDaemon:
                 hashlib.blake2b(text.encode(), digest_size=16)
                 .hexdigest()[:12]
             )
-            reject = quarantine_profile(label, route_error)
             with tenant.lock:
-                tenant.aggregator.rejected.append(reject)
+                reject = tenant.aggregator.reject(label, route_error)
             return "rejected", tenant, {
                 "error": reject.error,
                 "stage": reject.stage,
@@ -582,7 +588,8 @@ class ProfileDaemon:
         while True:
             await asyncio.sleep(self.config.gc_interval)
             # Checkpoint first so the slots the sweep must keep hold
-            # the *current* state, then shrink under the cap.
+            # the *current* state (clean tenants write nothing), then
+            # shrink under the cap.
             await asyncio.to_thread(self.checkpoint)
             await asyncio.to_thread(self.sweep_store)
 

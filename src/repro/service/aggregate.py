@@ -35,6 +35,7 @@ keys downstream).
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -54,7 +55,7 @@ from repro.hsd.serialize import (
     record_to_entry,
 )
 
-from .artifacts import canonical_json
+from .artifacts import canonical_json, canonical_object
 
 logger = logging.getLogger(__name__)
 
@@ -508,8 +509,19 @@ def merge_runs(
 # ceiling the batch merge, which sees everything at once, never uses).
 
 #: Schema version of the serialized aggregator state; a checkpoint
-#: carrying any other version is dropped as a miss (cold start).
-AGGREGATOR_STATE_VERSION = 1
+#: carrying a version outside :data:`_READABLE_VERSIONS` is dropped as a
+#: miss (cold start).  v2 slots hold only live state and keep the dedup
+#: ledger and per-bucket run ids in the append-only journal beside the
+#: slot; v1 slots carried both inline and still restore, and their
+#: first v2 checkpoint migrates them into the journal.
+AGGREGATOR_STATE_VERSION = 2
+_INLINE_LEDGER_VERSION = 1
+_READABLE_VERSIONS = (AGGREGATOR_STATE_VERSION, _INLINE_LEDGER_VERSION)
+
+#: Version in the checkpoint *key*.  It stays put while
+#: :meth:`IncrementalAggregator.from_state` can read a slot, so an
+#: upgrade restores the old slot and rewrites it in place.
+_SLOT_KEY_VERSION = 1
 
 #: The two aggregation strategies ``--aggregator`` selects between.
 AGGREGATOR_MODES = ("streaming", "batch")
@@ -694,11 +706,16 @@ def record_signature(
 
 
 class _SigGroup:
-    """All arrivals sharing one similarity signature, by raw epoch."""
+    """All arrivals sharing one similarity signature, by raw epoch.
 
-    __slots__ = ("buckets",)
+    ``id`` is the group's creation index, stable across checkpoints:
+    journal lines name the groups a document folded into by it.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("id", "buckets")
+
+    def __init__(self, sid: int) -> None:
+        self.id = sid
         self.buckets: Dict[int, _Bucket] = {}
 
     def fold(self, run: ClientRun, record: HotSpotRecord) -> None:
@@ -775,6 +792,24 @@ class IncrementalAggregator:
         #: Re-ingested (path, content) pairs skipped as no-ops.
         self.duplicates = 0
         self._reported_aged = 0
+        # The checkpoint journal (see :meth:`to_state`): one line per
+        # folded document, ``[path or None, content digest or None,
+        # run id, raw epoch, signature group ids]``.  Lines folded since
+        # the last to_state() wait in ``_pending``; encoded chunks a
+        # state covers that no checkpoint acknowledged yet wait in
+        # ``_staged`` (``_staged_len`` bytes), after ``_journal_acked``
+        # acknowledged bytes.
+        self._pending: List[Tuple] = []
+        self._staged: List[bytes] = []
+        self._staged_len = 0
+        self._journal_acked = 0
+        #: Running hash over the acknowledged + staged journal bytes.
+        self._journal_hash = hashlib.blake2b(digest_size=20)
+        # Folds + quarantines so far, as of the last to_state(), and as
+        # of the last acknowledged checkpoint (:attr:`dirty`).
+        self._changes = 0
+        self._staged_changes = 0
+        self._saved_changes = 0
 
     # -- epoch arithmetic (lazy, order-invariant) --------------------
 
@@ -817,23 +852,44 @@ class IncrementalAggregator:
 
     # -- ingest ------------------------------------------------------
 
+    @property
+    def dirty(self) -> bool:
+        """True while a fold or quarantine is in no checkpoint yet."""
+        return self._changes != self._saved_changes
+
     def ingest_run(self, run: ClientRun) -> None:
         """Fold one validated client run into the live state."""
+        self._fold(run, None, None)
+
+    def _fold(
+        self, run: ClientRun, name: Optional[str], digest: Optional[str]
+    ) -> None:
         self._epoch_runs[run.epoch] = self._epoch_runs.get(run.epoch, 0) + 1
         self.documents += 1
         threshold = self.policy.similarity.bias_threshold
+        sids = []
         for record in sorted(run.records, key=lambda r: r.index):
             if not record.branches:
                 continue
             signature = record_signature(record, threshold)
             group = self._groups.get(signature)
             if group is None:
-                group = self._groups[signature] = _SigGroup()
+                group = self._groups[signature] = _SigGroup(len(self._groups))
                 inc("service.agg.new_clusters")
             else:
                 inc("service.agg.matched")
             group.fold(run, record)
+            sids.append(group.id)
             inc("service.agg.folded")
+        self._pending.append((name, digest, run.run_id, run.epoch, sids))
+        self._changes += 1
+
+    def reject(self, path: str, exc: Exception) -> RejectedProfile:
+        """Quarantine one unusable document (:func:`quarantine_profile`)."""
+        rejected = quarantine_profile(path, exc)
+        self.rejected.append(rejected)
+        self._changes += 1
+        return rejected
 
     def ingest_document(
         self, doc: ProfileDocument, path: str = ""
@@ -876,16 +932,15 @@ class IncrementalAggregator:
                 doc = document_from_json(text)
             run = ClientRun.from_document(label, doc)
         except ProfileFormatError as exc:
-            self.rejected.append(quarantine_profile(label, exc))
+            self.reject(label, exc)
             return False
         except (TypeError, ValueError) as exc:
-            wrapped = ProfileFormatError(
+            self.reject(label, ProfileFormatError(
                 f"unusable provenance stamp: {exc}", stage="provenance"
-            )
-            self.rejected.append(quarantine_profile(label, wrapped))
+            ))
             return False
         self._seen[key] = digest
-        self.ingest_run(run)
+        self._fold(run, name, digest)
         return True
 
     def ingest_path(self, path: Union[str, Path]) -> bool:
@@ -901,7 +956,7 @@ class IncrementalAggregator:
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            self.rejected.append(quarantine_profile(path, exc))
+            self.reject(path, exc)
             return False
         return self.ingest_text(text, name=path)
 
@@ -1084,9 +1139,35 @@ class IncrementalAggregator:
         )
 
     # -- checkpoint / restore ----------------------------------------
+    #
+    # A checkpoint is two files.  The *slot*, rewritten every time,
+    # holds only live merge state — bucket sums, address sets, anchors,
+    # the epoch multiset, counters, rejections — plus the length and
+    # hash of the journal prefix it is consistent with.  The *journal*
+    # beside it is append-only: one line per folded document (its dedup
+    # ledger entry and the buckets that gained its run id), so each
+    # checkpoint writes only what was folded since the previous one.
+    # Restore loads the slot and replays exactly that prefix; lines past
+    # it were appended but never acknowledged, so they are dropped (and
+    # cut off by the next append).
 
     def to_state(self) -> Dict:
-        """JSON-able serialization of the complete live state."""
+        """JSON-able serialization of the live state (the slot).
+
+        Stages the journal lines folded since the previous call: the
+        returned state records the journal length and hash including
+        them, and the next :meth:`save_checkpoint` appends them.
+        """
+        if self._pending:
+            chunk = "".join(
+                json.dumps(entry, separators=(",", ":")) + "\n"
+                for entry in self._pending
+            ).encode()
+            self._pending = []
+            self._staged.append(chunk)
+            self._staged_len += len(chunk)
+            self._journal_hash.update(chunk)
+        self._staged_changes = self._changes
         groups = []
         for signature in sorted(
             self._groups, key=lambda sig: [[a, b or ""] for a, b in sig]
@@ -1099,7 +1180,6 @@ class IncrementalAggregator:
                     "members": bucket.members,
                     "zero_weight": bucket.zero_weight,
                     "weight_total": bucket.weight_total,
-                    "run_ids": sorted(bucket.run_ids),
                     "sums": {
                         str(address): list(entry)
                         for address, entry in sorted(bucket.sums.items())
@@ -1118,6 +1198,7 @@ class IncrementalAggregator:
                     },
                 }
             groups.append({
+                "id": group.id,
                 "sig": [[address, bias] for address, bias in signature],
                 "buckets": buckets,
             })
@@ -1130,7 +1211,6 @@ class IncrementalAggregator:
                 str(epoch): count
                 for epoch, count in sorted(self._epoch_runs.items())
             },
-            "seen": dict(sorted(self._seen.items())),
             "rejected": [
                 {
                     "path": r.path, "error": r.error,
@@ -1141,22 +1221,35 @@ class IncrementalAggregator:
             ],
             "reported_aged": self._reported_aged,
             "groups": groups,
+            "journal": {
+                "bytes": self._journal_acked + self._staged_len,
+                "digest": self._journal_hash.hexdigest(),
+            },
         }
 
     @classmethod
     def from_state(
-        cls, state: Dict, policy: Optional[MergePolicy] = None
+        cls, state: Dict, policy: Optional[MergePolicy] = None,
+        journal: bytes = b"",
     ) -> "IncrementalAggregator":
-        """Rebuild an aggregator from :meth:`to_state` output.
+        """Rebuild an aggregator from :meth:`to_state` output and the
+        journal beside its slot.
 
-        Raises ``KeyError``/``TypeError``/``ValueError`` on any shape
-        mismatch — :meth:`restore` turns those into a cold start.
+        Replays the journal prefix the state records.  A v1 state
+        carries its dedup ledger and run ids inline instead; they are
+        replayed the same way and staged as journal lines, so the first
+        checkpoint migrates the slot.  Raises ``KeyError``/
+        ``TypeError``/``ValueError`` on any shape mismatch, a journal
+        shorter than recorded, or a prefix that fails its hash —
+        :meth:`restore` turns those into a cold start.
         """
-        if state["version"] != AGGREGATOR_STATE_VERSION:
+        version = state["version"]
+        if version not in _READABLE_VERSIONS:
             raise ValueError(
-                f"stale aggregator state version {state['version']!r} "
+                f"stale aggregator state version {version!r} "
                 f"(want {AGGREGATOR_STATE_VERSION})"
             )
+        inline = version == _INLINE_LEDGER_VERSION
         agg = cls(policy)
         if state["policy"] != agg.policy.fingerprint():
             raise ValueError("checkpoint policy fingerprint mismatch")
@@ -1167,22 +1260,22 @@ class IncrementalAggregator:
             int(epoch): int(count)
             for epoch, count in state["epoch_runs"].items()
         }
-        agg._seen = dict(state["seen"])
         agg.rejected = [
             RejectedProfile(**entry) for entry in state["rejected"]
         ]
-        for group_state in state["groups"]:
+        by_id: Dict[int, _SigGroup] = {}
+        inline_runs: Dict[Tuple[str, int], List[int]] = {}
+        for position, group_state in enumerate(state["groups"]):
             signature = tuple(
                 (int(address), bias if bias is None else str(bias))
                 for address, bias in group_state["sig"]
             )
-            group = _SigGroup()
+            group = _SigGroup(position if inline else int(group_state["id"]))
             for epoch_text, entry in group_state["buckets"].items():
                 bucket = _Bucket()
                 bucket.members = int(entry["members"])
                 bucket.zero_weight = int(entry["zero_weight"])
                 bucket.weight_total = int(entry["weight_total"])
-                bucket.run_ids = set(entry["run_ids"])
                 bucket.sums = {
                     int(address): [int(v) for v in values]
                     for address, values in entry["sums"].items()
@@ -1195,7 +1288,52 @@ class IncrementalAggregator:
                 bucket.anchor_key = (anchor["run_id"], int(anchor["index"]))
                 bucket.anchor_record = record_from_entry(anchor["record"])
                 group.buckets[int(epoch_text)] = bucket
+                if inline:
+                    for run_id in entry["run_ids"]:
+                        inline_runs.setdefault(
+                            (str(run_id), int(epoch_text)), []
+                        ).append(group.id)
             agg._groups[signature] = group
+            by_id[group.id] = group
+        if sorted(by_id) != list(range(len(state["groups"]))):
+            raise ValueError("signature group ids are not 0..n-1")
+
+        if inline:
+            entries = [
+                (None if key == f"upload:{digest}" else key, digest,
+                 None, None, [])
+                for key, digest in sorted(state["seen"].items())
+            ]
+            entries += [
+                (None, None, run_id, epoch, sids)
+                for (run_id, epoch), sids in sorted(inline_runs.items())
+            ]
+            agg._pending = entries
+            agg._changes = 1  # the slot itself still needs rewriting
+        else:
+            length = int(state["journal"]["bytes"])
+            if len(journal) < length:
+                raise ValueError(
+                    f"journal holds {len(journal)} of {length} "
+                    f"acknowledged bytes"
+                )
+            prefix = journal[:length]
+            hasher = hashlib.blake2b(prefix, digest_size=20)
+            if hasher.hexdigest() != state["journal"]["digest"]:
+                raise ValueError("journal digest mismatch")
+            # Lines are JSON arrays, so the prefix is one JSON list
+            # once its newlines become commas.
+            entries = json.loads(
+                b"[" + prefix[:-1].replace(b"\n", b",") + b"]"
+            ) if prefix else []
+            agg._journal_acked = length
+            agg._journal_hash = hasher
+        for name, digest, run_id, epoch, sids in entries:
+            if digest is not None:
+                agg._seen[name or f"upload:{digest}"] = digest
+            if run_id is not None:
+                for sid in sids:
+                    by_id[sid].buckets[epoch].run_ids.add(run_id)
         return agg
 
     def state_digest(self, state: Optional[Dict] = None) -> str:
@@ -1208,23 +1346,45 @@ class IncrementalAggregator:
     def save_checkpoint(
         self, store, tag: str, state: Optional[Dict] = None
     ) -> bool:
-        """Persist the live state through the artifact store.
+        """Persist the live state: append the journal, rewrite the slot.
+
+        The staged journal lines are appended and fsynced first; the
+        slot is pinned, so its rewrite is durable too (tmp file, fsync,
+        rename, directory fsync).  A crash between the two leaves an
+        unacknowledged journal tail that restore ignores.
 
         ``state`` (a :meth:`to_state` document) lets a concurrent
         caller serialize under its own lock and keep only the disk
-        write outside it — the aggregator itself has no locking.
+        writes outside it — the aggregator itself has no locking, so
+        the caller must also keep checkpoints of one aggregator from
+        overlapping.
         """
         if state is None:
             state = self.to_state()
-        saved = store.put(checkpoint_key(tag, self.policy), {
-            "kind": "aggregator-checkpoint",
-            "agg_version": AGGREGATOR_STATE_VERSION,
-            "state_digest": self.state_digest(state),
-            "state": state,
-        })
-        if saved:
-            inc("service.agg.checkpoint.saved")
-        return saved
+        staged_end = self._journal_acked + self._staged_len
+        if state["journal"]["bytes"] != staged_end:
+            raise ValueError("state is not this aggregator's latest to_state()")
+        if not store.enabled:
+            return False
+        key = checkpoint_key(tag, self.policy)
+        store.pin(key)
+        staged = b"".join(self._staged)
+        if not store.append_journal(key, self._journal_acked, staged):
+            return False
+        body = canonical_json(state)
+        digest = hashlib.blake2b(body, digest_size=20).hexdigest()
+        if not store.put(key, canonical_object({
+            "agg_version": canonical_json(AGGREGATOR_STATE_VERSION),
+            "kind": canonical_json("aggregator-checkpoint"),
+            "state": body,
+            "state_digest": canonical_json(digest),
+        })):
+            return False
+        self._journal_acked += len(staged)
+        self._staged, self._staged_len = [], 0
+        self._saved_changes = self._staged_changes
+        inc("service.agg.checkpoint.saved")
+        return True
 
     @classmethod
     def restore(
@@ -1233,18 +1393,20 @@ class IncrementalAggregator:
         """Resume from a checkpoint; ``None`` means cold start.
 
         Every corruption path is a *miss*, never an error: a truncated
-        entry fails the store's own stamp check, a stale
+        slot fails the store's own stamp check, a stale
         ``agg_version`` or policy fingerprint is refused here, and a
-        payload whose ``state_digest`` disagrees with its state is
-        never trusted.
+        slot whose ``state_digest`` disagrees with its state, or whose
+        journal prefix is short or fails its recorded hash, is never
+        trusted — not even in part.
         """
         policy = policy or MergePolicy()
-        payload = store.get(checkpoint_key(tag, policy))
+        key = checkpoint_key(tag, policy)
+        payload = store.get(key)
         if payload is None:
             inc("service.agg.checkpoint.miss")
             return None
         try:
-            if payload.get("agg_version") != AGGREGATOR_STATE_VERSION:
+            if payload.get("agg_version") not in _READABLE_VERSIONS:
                 raise ValueError(
                     f"stale checkpoint version "
                     f"{payload.get('agg_version')!r}"
@@ -1256,8 +1418,10 @@ class IncrementalAggregator:
             ).hexdigest()
             if expected != actual:
                 raise ValueError("checkpoint state digest mismatch")
-            aggregator = cls.from_state(state, policy)
-        except (KeyError, TypeError, ValueError) as exc:
+            aggregator = cls.from_state(
+                state, policy, store.read_journal(key)
+            )
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             inc("service.agg.checkpoint.corrupt")
             logger.warning(
                 "aggregator checkpoint %r unusable (%s: %s); "
@@ -1273,10 +1437,10 @@ def checkpoint_key(tag: str, policy: MergePolicy) -> str:
 
     Unlike pack artifacts the checkpoint is a mutable *slot* (latest
     state wins), so the key hashes the identity — tag + merge policy +
-    state schema version — not the content.
+    slot version — not the content.
     """
     digest = hashlib.blake2b(digest_size=20)
-    digest.update(f"agg-checkpoint-v{AGGREGATOR_STATE_VERSION};".encode())
+    digest.update(f"agg-checkpoint-v{_SLOT_KEY_VERSION};".encode())
     digest.update(f"tag={tag};".encode())
     digest.update(policy.fingerprint().encode())
     return digest.hexdigest()

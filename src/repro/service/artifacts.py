@@ -39,6 +39,15 @@ with :meth:`~ArtifactStore.pin` — the long-running daemon pins its
 aggregator checkpoint slots — are never evicted.  Counters
 ``service.artifacts.{hits,evictions}`` and the
 ``service.artifacts.bytes`` gauge surface in ``repro stats``.
+
+**Checkpoint slots and their journals.**  A pinned key is live state,
+not a recomputable cache, so its :meth:`~ArtifactStore.put` is durable:
+tmp file, fsync, rename, then an fsync of the store directory.  A slot
+may carry an append-only ``<key>.journal.ndjson`` sidecar
+(:meth:`~ArtifactStore.append_journal`), fsynced on every append.  The
+journal belongs to its slot: it is pinned, counted and evicted with it
+and is never an entry of its own.  Unpinned writes (pack artifacts)
+stay unsynced.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.engine.trace_cache import DISABLED_VALUES, atomic_write
 from repro.obs import inc, set_gauge
@@ -65,14 +74,40 @@ _ENV_DIR = "REPRO_ARTIFACT_STORE"
 #: Suffix of the read-bookkeeping sidecar written next to each entry.
 HIT_SIDECAR_SUFFIX = ".hits.json"
 
+#: Suffix of a checkpoint slot's append-only journal sidecar.
+JOURNAL_SIDECAR_SUFFIX = ".journal.ndjson"
+
+#: Key endings reserved for sidecar file names: a key ``<k>.hits``
+#: would store its payload at ``<k>``'s hit-sidecar path, and a key
+#: ``<k>.journal`` would name files that read as ``<k>``'s sidecars.
+_RESERVED_KEY_SUFFIXES = (".hits", ".journal")
+
 logger = logging.getLogger(__name__)
 
 
-def canonical_json(payload: Dict) -> bytes:
+def canonical_json(payload: object) -> bytes:
     """The one byte representation of ``payload`` (sorted, minimal)."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":")
     ).encode()
+
+
+def canonical_object(members: Dict[str, bytes]) -> bytes:
+    """:func:`canonical_json` of an object whose member values arrive
+    already canonically encoded, so a large member is encoded once."""
+    return b"{" + b",".join(
+        json.dumps(name).encode() + b":" + members[name]
+        for name in sorted(members)
+    ) + b"}"
+
+
+def _fsync_dir(root: str) -> None:
+    """Persist the directory entries of ``root`` (renames, creations)."""
+    fd = os.open(root, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def image_digest(image: ProgramImage) -> str:
@@ -118,7 +153,7 @@ class ArtifactEntry:
     """One stored artifact as the GC sees it."""
 
     key: str
-    #: Entry bytes on disk (payload file + hit sidecar).
+    #: Entry bytes on disk (payload file + hit and journal sidecars).
     bytes: int
     #: Wall-clock time of the last read (file mtime if never read).
     last_hit: float
@@ -149,20 +184,26 @@ class ArtifactStore:
     def sidecar_of(self, key: str) -> str:
         return os.path.join(self.root, f"{key}{HIT_SIDECAR_SUFFIX}")
 
+    def journal_of(self, key: str) -> str:
+        return os.path.join(self.root, f"{key}{JOURNAL_SIDECAR_SUFFIX}")
+
     @staticmethod
     def _check_key(key: str) -> None:
-        """Reject keys whose payload path collides with another key's
-        hit sidecar: ``path_of('<k>.hits')`` == ``sidecar_of('<k>')``,
-        so such an entry would be invisible to :meth:`entries` and a
-        read stamp of ``<k>`` would overwrite its payload."""
-        if key.endswith(".hits"):
+        """Reject keys in the sidecar namespace: ``path_of('<k>.hits')``
+        == ``sidecar_of('<k>')``, so such an entry would be invisible to
+        :meth:`entries` and a read stamp of ``<k>`` would overwrite its
+        payload; ``<k>.journal`` is reserved the same way for
+        :meth:`journal_of`."""
+        if key.endswith(_RESERVED_KEY_SUFFIXES):
             raise ValueError(
                 f"artifact key {key!r} collides with the "
-                f"{HIT_SIDECAR_SUFFIX!r} sidecar namespace"
+                f"{HIT_SIDECAR_SUFFIX!r}/{JOURNAL_SIDECAR_SUFFIX!r} "
+                f"sidecar namespace"
             )
 
     def pin(self, key: str) -> None:
-        """Exempt ``key`` from eviction (e.g. a checkpoint slot)."""
+        """Exempt ``key`` and its journal from eviction and make its
+        writes durable (e.g. a checkpoint slot)."""
         self._check_key(key)
         self.pinned.add(key)
 
@@ -202,9 +243,10 @@ class ArtifactStore:
         """
         if not self.enabled:
             return None
-        if key.endswith(".hits"):
-            # The would-be payload path is another key's hit sidecar;
-            # a plain miss, without reading (or corrupt-deleting) it.
+        if key.endswith(_RESERVED_KEY_SUFFIXES):
+            # The would-be payload path is in another key's sidecar
+            # namespace; a plain miss, without reading (or
+            # corrupt-deleting) it.
             self.stats.misses += 1
             inc("artifact_store.misses")
             return None
@@ -240,32 +282,95 @@ class ArtifactStore:
         self._stamp_hit(key)
         return payload
 
-    def put(self, key: str, payload: Dict) -> bool:
+    def put(self, key: str, payload: Union[Dict, bytes]) -> bool:
         """Persist a payload; returns False when the store is off or
         the write failed (the farm then just keeps its in-memory
         result).  Raises ``ValueError`` on a key that collides with
-        the hit-sidecar namespace."""
+        the sidecar namespace.
+
+        ``payload`` may be given as its :func:`canonical_json` bytes.
+        A pinned key's write is durable (fsync before the rename,
+        then of the directory); other keys are recomputable caches.
+        """
         self._check_key(key)
         if not self.enabled:
             return False
-        document = canonical_json(
-            {
-                "stamp": {"key": key, "version": FORMAT_VERSION},
-                "payload": payload,
-            }
-        )
+        if not isinstance(payload, bytes):
+            payload = canonical_json(payload)
+        document = canonical_object({
+            "payload": payload,
+            "stamp": canonical_json(
+                {"key": key, "version": FORMAT_VERSION}
+            ),
+        })
+        durable = key in self.pinned
+
+        def write(handle) -> None:
+            handle.write(document)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+
         try:
-            atomic_write(
-                self.root,
-                self.path_of(key),
-                lambda handle: handle.write(document),
-            )
+            atomic_write(self.root, self.path_of(key), write)
+            if durable:
+                _fsync_dir(self.root)
         except OSError:
             self.stats.errors += 1
             inc("artifact_store.errors")
             return False
         self.stats.puts += 1
         inc("artifact_store.puts")
+        return True
+
+    # -- checkpoint journals -----------------------------------------
+
+    def read_journal(self, key: str) -> bytes:
+        """The whole journal beside ``key``'s slot (empty if none)."""
+        if not self.enabled:
+            return b""
+        try:
+            with open(self.journal_of(key), "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return b""
+
+    def append_journal(self, key: str, offset: int, data: bytes) -> bool:
+        """Write ``data`` at ``offset`` of ``key``'s journal and fsync.
+
+        Bytes past ``offset`` were appended but never acknowledged by
+        a slot write, so they are cut off first.  Returns False when
+        the store is off, the journal is shorter than ``offset`` (its
+        acknowledged prefix is gone), or the write failed.
+        """
+        self._check_key(key)
+        if not self.enabled:
+            return False
+        try:
+            os.makedirs(self.root, exist_ok=True)
+            fd = os.open(self.journal_of(key), os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                size = os.fstat(fd).st_size
+                if size < offset:
+                    raise OSError(
+                        f"journal holds {size} of {offset} acknowledged bytes"
+                    )
+                if size == offset and not data:
+                    return True
+                os.ftruncate(fd, offset)
+                os.lseek(fd, offset, os.SEEK_SET)
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            self.stats.errors += 1
+            inc("artifact_store.errors")
+            logger.warning("artifact store: journal append for %s failed "
+                           "(%s)", key, exc)
+            return False
         return True
 
     # -- GC ----------------------------------------------------------
@@ -297,6 +402,10 @@ class ArtifactStore:
                 continue  # raced with a concurrent eviction
             size = stat.st_size
             last_hit, hit_count = stat.st_mtime, 0
+            try:
+                size += os.path.getsize(self.journal_of(key))
+            except OSError:
+                pass  # no journal: an artifact, not a checkpoint slot
             sidecar = self.sidecar_of(key)
             try:
                 size += os.path.getsize(sidecar)
@@ -335,7 +444,8 @@ class ArtifactStore:
             if entry.pinned:
                 continue
             for path in (self.path_of(entry.key),
-                         self.sidecar_of(entry.key)):
+                         self.sidecar_of(entry.key),
+                         self.journal_of(entry.key)):
                 try:
                     os.unlink(path)
                 except OSError:
@@ -370,8 +480,10 @@ __all__ = [
     "ArtifactStore",
     "FORMAT_VERSION",
     "HIT_SIDECAR_SUFFIX",
+    "JOURNAL_SIDECAR_SUFFIX",
     "artifact_key",
     "canonical_json",
+    "canonical_object",
     "default_store",
     "image_digest",
     "reset_default_store",

@@ -14,6 +14,8 @@ and the ``service.agg.*`` observability counters.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +321,173 @@ class TestCheckpoint:
         agg = stream(small_fleet())
         assert not agg.save_checkpoint(store, "t")
         assert IncrementalAggregator.restore(store, "t") is None
+
+
+def fleet_text(i):
+    """Document ``i`` of a fixed 8-client fleet: client ``i % 8`` with its
+    counters scaled by one of 21 factors, stamped with its own run id."""
+    from repro.hsd.serialize import make_provenance, records_to_dict
+
+    base = i % 8
+    factor = 1.0 + 0.05 * ((i * 7) % 21)
+    branches = {}
+    for b in range(3 + base % 3):
+        executed = int((100 + 40 * b + 10 * base) * factor)
+        taken = int((20 + 50 * ((base + b) % 3)) * factor)
+        branches[0x100 * (base % 4 + 1) + 8 * b] = (executed, taken)
+    meta = {"provenance": make_provenance(f"c{i:05d}", seed=i, epoch=i % 4)}
+    return json.dumps(records_to_dict([rec(0, branches)], meta))
+
+
+class TestCheckpointJournal:
+    """The slot holds live state only; history lives in the journal."""
+
+    def make(self, tmp_path, count=12):
+        store = ArtifactStore(root=str(tmp_path / "store"))
+        agg = IncrementalAggregator()
+        for i in range(count):
+            assert agg.ingest_text(fleet_text(i))
+        assert agg.save_checkpoint(store, "t")
+        return store, agg, checkpoint_key("t", MergePolicy())
+
+    def test_restore_replays_the_dedup_ledger_and_run_ids(self, tmp_path):
+        store, agg, key = self.make(tmp_path)
+        slot = json.loads(Path(store.path_of(key)).read_text())["payload"]
+        assert "seen" not in slot["state"]
+        assert all("run_ids" not in bucket
+                   for group in slot["state"]["groups"]
+                   for bucket in group["buckets"].values())
+        journal = Path(store.journal_of(key)).read_bytes()
+        assert journal.count(b"\n") == 12
+        back = IncrementalAggregator.restore(store, "t")
+        assert back._seen == agg._seen
+        assert back.snapshot().digest() == agg.snapshot().digest()
+        assert not back.dirty
+        assert not back.ingest_text(fleet_text(3))
+
+    def test_each_checkpoint_appends_only_new_documents(self, tmp_path):
+        store, agg, key = self.make(tmp_path)
+        before = Path(store.journal_of(key)).read_bytes()
+        assert agg.ingest_text(fleet_text(12))
+        assert agg.save_checkpoint(store, "t")
+        after = Path(store.journal_of(key)).read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):].count(b"\n") == 1
+        back = IncrementalAggregator.restore(store, "t")
+        assert back.snapshot().digest() == agg.snapshot().digest()
+
+    def test_unacknowledged_tail_is_dropped_and_refolds(self, tmp_path):
+        store, agg, key = self.make(tmp_path)
+        acked_digest = agg.snapshot().digest()
+        # A crash between the journal append and the slot write: the
+        # journal gains the new lines, the slot never learns of them.
+        put = store.put
+        store.put = lambda *args: False
+        tail = [fleet_text(i) for i in range(12, 16)]
+        for text in tail:
+            assert agg.ingest_text(text)
+        assert not agg.save_checkpoint(store, "t")
+        store.put = put
+        journal = Path(store.journal_of(key)).read_bytes()
+        assert journal.count(b"\n") == 16
+
+        back = IncrementalAggregator.restore(store, "t")
+        assert back.documents == 12
+        assert back.snapshot().digest() == acked_digest
+        # The unacknowledged documents fold again, not as duplicates.
+        for text in tail:
+            assert back.ingest_text(text)
+        assert back.duplicates == 0
+        assert back.snapshot().digest() == agg.snapshot().digest()
+        # The next checkpoint cuts the stale tail off before appending.
+        assert back.save_checkpoint(store, "t")
+        again = IncrementalAggregator.restore(store, "t")
+        assert again.snapshot().digest() == agg.snapshot().digest()
+        assert again._seen == agg._seen
+
+    @pytest.mark.parametrize("damage", ["garble", "truncate"])
+    def test_damaged_journal_is_a_counted_cold_start(self, tmp_path, damage):
+        store, _, key = self.make(tmp_path)
+        path = store.journal_of(key)
+        body = bytearray(Path(path).read_bytes())
+        if damage == "garble":
+            # One hex digit of a mid-journal dedup digest: still valid
+            # JSON, so only the recorded hash can tell.
+            digit = body.index(b'\n[null,"', len(body) // 2) + 8
+            body[digit] = ord("0") if body[digit] != ord("0") else ord("1")
+        else:
+            del body[-10:]
+        Path(path).write_bytes(bytes(body))
+        registry = obs.default_registry()
+        before = registry.counter("service.agg.checkpoint.corrupt")
+        assert IncrementalAggregator.restore(store, "t") is None
+        assert registry.counter("service.agg.checkpoint.corrupt") == \
+            before + 1
+
+    def test_slot_size_is_bounded_by_live_state(self, tmp_path):
+        store = ArtifactStore(root=str(tmp_path / "store"))
+        key = checkpoint_key("t", MergePolicy())
+        agg = IncrementalAggregator()
+        sizes = {}
+        for i in range(3000):
+            assert agg.ingest_text(fleet_text(i))
+            if i + 1 in (1000, 3000):
+                assert agg.save_checkpoint(store, "t")
+                sizes[i + 1] = (
+                    os.path.getsize(store.path_of(key)),
+                    os.path.getsize(store.journal_of(key)),
+                )
+        (slot_1k, journal_1k), (slot_3k, journal_3k) = \
+            sizes[1000], sizes[3000]
+        assert slot_3k <= 1.05 * slot_1k, (slot_1k, slot_3k)
+        # History grows only the journal.
+        assert journal_3k > 2.5 * journal_1k
+
+    def test_dirty_tracks_folds_and_quarantines(self, tmp_path):
+        store, agg, _ = self.make(tmp_path)
+        assert not agg.dirty
+        assert not agg.ingest_text(fleet_text(0))  # duplicate
+        assert not agg.dirty
+        assert not agg.ingest_text("{nope")
+        assert agg.dirty
+        assert agg.save_checkpoint(store, "t")
+        assert not agg.dirty
+        back = IncrementalAggregator.restore(store, "t")
+        assert [r.stage for r in back.rejected] == ["parse"]
+
+    def test_checkpoint_fsyncs_journal_then_slot_then_directory(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(root=str(tmp_path / "store"))
+        agg = IncrementalAggregator()
+        assert agg.ingest_text(fleet_text(0))
+        store.put("artifact", {"cache": True})
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            events.append(("fsync", os.path.basename(
+                os.readlink(f"/proc/self/fd/{fd}"))))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("rename", os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        store.put("artifact-2", {"cache": True})
+        # A recomputable cache entry is written without any fsync.
+        assert events == [("rename", "artifact-2.json")]
+        events.clear()
+        assert agg.save_checkpoint(store, "t")
+        key = checkpoint_key("t", MergePolicy())
+        assert [kind for kind, _ in events] == \
+            ["fsync", "fsync", "rename", "fsync"]
+        assert events[0][1] == f"{key}.journal.ndjson"
+        assert events[1][1].startswith(".tmp-")
+        assert events[2][1] == f"{key}.json"
+        assert events[3][1] == "store"
 
 
 class TestPathDedup:

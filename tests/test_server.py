@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -29,6 +30,7 @@ from repro.service import (
     ContractTolerance,
     FarmConfig,
     FleetProfile,
+    IncrementalAggregator,
     MergePolicy,
     canonical_json,
     checkpoint_key,
@@ -89,6 +91,34 @@ def runs_of(texts):
         doc = document_from_json(text)
         runs.append(ClientRun.from_document(doc.run_id, doc))
     return runs
+
+
+def launch_server(store_dir):
+    """A ``repro server`` subprocess: (process, banner line, port)."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH", ""),
+        ) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "server",
+         "--bench", f"{BENCH}/{INPUT}", "--listen", "127.0.0.1:0",
+         "--scale", str(SCALE), "--store", store_dir],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    banner = proc.stdout.readline()
+    port = int(re.search(r":(\d+) ", banner).group(1))
+    return proc, banner, port
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.time() + timeout
+    while not predicate() and time.time() < deadline:
+        time.sleep(0.02)
+    assert predicate()
 
 
 def daemon_config(**overrides):
@@ -354,6 +384,40 @@ class TestAggregatorLocking:
         assert daemon.checkpoint()
         assert locked_during == [True]
 
+    def test_concurrent_checkpoints_keep_the_journal_in_order(
+        self, tmp_path
+    ):
+        """Checkpoints racing each other and ingest must append the
+        journal in the order their states were taken, or the restored
+        prefix fails its hash."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        daemon = ProfileDaemon(daemon_config(), store=store)
+        tenant = daemon.registry.default
+        texts = [doc_text(i) for i in range(120)]
+
+        def ingest(part):
+            for text in part:
+                daemon.route_text(text)
+                daemon.checkpoint_tenant(tenant)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ingest, args=(texts[k::4],))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        daemon.checkpoint()
+        back = IncrementalAggregator.restore(store, "test")
+        assert back is not None
+        assert back.documents == len(texts)
+        assert back.snapshot().digest() == daemon.snapshot().digest()
+
     def test_snapshot_helper_holds_the_lock(self, tmp_path):
         store = ArtifactStore(str(tmp_path / "store"))
         daemon = ProfileDaemon(daemon_config(), store=store)
@@ -471,6 +535,36 @@ class TestStoreGC:
         assert stamp["hit_count"] == 1
         assert [entry.key for entry in store.entries()] == ["k"]
 
+    def test_journal_is_a_sidecar_of_its_slot(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        store.put("slot", {"v": 1})
+        store.put("other", {"v": 2})
+        assert store.append_journal("slot", 0, b"[1]\n")
+        assert store.append_journal("slot", 4, b"[2]\n")
+        # Bytes past the acknowledged offset are cut off first.
+        assert store.append_journal("slot", 4, b"[3]\n")
+        assert store.read_journal("slot") == b"[1]\n[3]\n"
+        # A journal shorter than its acknowledged offset is refused.
+        assert not store.append_journal("slot", 100, b"[4]\n")
+        entries = {entry.key: entry for entry in store.entries()}
+        assert sorted(entries) == ["other", "slot"]
+        assert entries["slot"].bytes == \
+            os.path.getsize(store.path_of("slot")) + 8
+        assert store.total_bytes() == sum(
+            os.path.getsize(store.path_of(key)) for key in entries
+        ) + 8
+        with pytest.raises(ValueError):
+            store.put("slot.journal", {"evil": True})
+        with pytest.raises(ValueError):
+            store.append_journal("slot.journal", 0, b"")
+        assert store.get("slot.journal") is None
+        store.pin("slot")
+        assert store.evict(0) == ["other"]
+        assert store.read_journal("slot") == b"[1]\n[3]\n"
+        store.unpin("slot")
+        assert store.evict(0) == ["slot"]
+        assert not os.path.exists(store.journal_of("slot"))
+
     def test_evict_on_disabled_store_is_a_noop(self):
         store = ArtifactStore("off")
         assert store.evict(0) == []
@@ -532,29 +626,7 @@ class TestRestart:
         self, tmp_path
     ):
         store_dir = str(tmp_path / "store")
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                str(Path(__file__).resolve().parent.parent / "src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        command = [
-            sys.executable, "-m", "repro", "server",
-            "--bench", f"{BENCH}/{INPUT}", "--listen", "127.0.0.1:0",
-            "--scale", str(SCALE), "--store", store_dir,
-        ]
-
-        def launch():
-            proc = subprocess.Popen(
-                command, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, text=True, env=env,
-            )
-            banner = proc.stdout.readline()
-            port = int(re.search(r":(\d+) ", banner).group(1))
-            return proc, banner, port
-
-        proc, banner, port = launch()
+        proc, banner, port = launch_server(store_dir)
         try:
             assert "checkpoint cold" in banner
             with DaemonClient("127.0.0.1", port) as client:
@@ -567,6 +639,7 @@ class TestRestart:
         finally:
             if proc.poll() is None:
                 proc.kill()
+            proc.stdout.close()
 
         store = ArtifactStore(store_dir)
         slot = checkpoint_key("server", MergePolicy())
@@ -575,7 +648,7 @@ class TestRestart:
         other_slot = checkpoint_key("server:999.go/B", MergePolicy())
         assert store.get(other_slot) is not None
 
-        proc, banner, port = launch()
+        proc, banner, port = launch_server(store_dir)
         try:
             # Every tenant resumes, not just the first to see traffic.
             assert "checkpoint restored" in banner
@@ -602,6 +675,132 @@ class TestRestart:
         finally:
             if proc.poll() is None:
                 proc.kill()
+            proc.stdout.close()
+
+    def test_kill_9_mid_stream_keeps_every_acknowledged_document_once(
+        self, tmp_path
+    ):
+        store_dir = str(tmp_path / "store")
+        texts = [doc_text(i) for i in range(34)]
+        acked, partial = texts[:30], texts[30:]
+        proc, _, port = launch_server(store_dir)
+        try:
+            with DaemonClient("127.0.0.1", port) as client:
+                for start in range(0, len(acked), 3):
+                    status, body = client.tenant().upload(
+                        acked[start:start + 3]
+                    )
+                    assert status == 200 and body["folded"] == 3
+                # A request that dies mid-body: two of its four lines
+                # reach the daemon and fold, but the body never ends,
+                # so nothing checkpoints or acknowledges them.
+                body = "\n".join(partial).encode()
+                sock = socket.create_connection(("127.0.0.1", port))
+                sock.sendall(
+                    b"POST /profiles HTTP/1.1\r\nHost: test\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + ("\n".join(partial[:2]) + "\n").encode()
+                )
+                wait_for(lambda: client.healthz()[1]["documents"] == 32)
+            proc.kill()
+            proc.wait(timeout=15)
+            sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+
+        proc, banner, port = launch_server(store_dir)
+        try:
+            assert "checkpoint restored" in banner
+            with DaemonClient("127.0.0.1", port) as client:
+                assert client.healthz()[1]["documents"] == len(acked)
+                status, body = client.tenant().upload(acked)
+                assert status == 200
+                assert (body["folded"], body["duplicates"]) == (0, 30)
+                status, body = client.tenant().upload(partial)
+                assert (body["folded"], body["duplicates"]) == (4, 0)
+                local = IncrementalAggregator()
+                for text in texts:
+                    local.ingest_text(text)
+                snap = client.tenant().snapshot()[1]
+                assert snap["digest"] == local.snapshot().digest()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+
+    def test_idle_gc_tick_writes_no_slot_bytes(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "store"))
+        config = daemon_config(gc_max_bytes=10 ** 9, gc_interval=0.05)
+        with start_daemon_thread(config, store=store) as handle:
+            daemon = handle.daemon
+            with DaemonClient.for_daemon(handle) as client:
+                assert client.tenant().upload(
+                    [doc_text(i) for i in range(4)]
+                )[0] == 200
+                assert client.tenant("999.go/B").upload(
+                    [doc_text(1, tenant="999.go/B")]
+                )[0] == 200
+            sweeps = daemon.gc_sweeps
+            wait_for(lambda: daemon.gc_sweeps >= sweeps + 1)
+            slots = [store.path_of(checkpoint_key(tag, MergePolicy()))
+                     for tag in ("test", "test:999.go/B")]
+            stamps = [os.stat(slot).st_mtime_ns for slot in slots]
+            puts, checkpoints = store.stats.puts, daemon.checkpoints
+            sweeps = daemon.gc_sweeps
+            wait_for(lambda: daemon.gc_sweeps >= sweeps + 3)
+            assert not daemon.checkpoint()
+        # Neither the idle GC ticks nor the final checkpoint on stop
+        # rewrote a clean tenant's slot.
+        assert store.stats.puts == puts
+        assert daemon.checkpoints == checkpoints
+        assert [os.stat(slot).st_mtime_ns for slot in slots] == stamps
+
+    def test_inline_v1_checkpoint_upgrades_in_place(self, tmp_path):
+        # A slot written before the journal existed: dedup ledger and
+        # run ids inline, 12 uploads + one path + one quarantine + one
+        # duplicate under tag "v1-upgrade".
+        root = tmp_path / "store"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "checkpoint-v1",
+                        root)
+        expected = IncrementalAggregator()
+        texts = [doc_text(i) for i in range(12)]
+        for text in texts:
+            expected.ingest_text(text)
+        expected.ingest_text(doc_text(12), name="fleet/client-12.json")
+        expected.ingest_text("{nope")
+        expected.ingest_text(doc_text(3))
+        store = ArtifactStore(str(root))
+        key = checkpoint_key("v1-upgrade", MergePolicy())
+
+        def slot_version():
+            return json.loads(
+                Path(store.path_of(key)).read_text()
+            )["payload"]["agg_version"]
+
+        assert slot_version() == 1
+        config = daemon_config(tag="v1-upgrade")
+        for boot in range(2):
+            with start_daemon_thread(config, store=store) as handle:
+                daemon = handle.daemon
+                assert daemon.restored
+                with daemon.agg_lock:
+                    assert daemon.aggregator._seen == expected._seen
+                with DaemonClient.for_daemon(handle) as client:
+                    _, health = client.healthz()
+                    assert (health["documents"], health["quarantined"]) \
+                        == (13, 1)
+                    snap = client.tenant().snapshot()[1]
+                    assert snap["digest"] == expected.snapshot().digest()
+                    body = client.tenant().upload(texts)[1]
+                    assert (body["folded"], body["duplicates"]) == (0, 12)
+            # The first stop migrated the slot: live state only, the
+            # ledger in the journal beside it.
+            assert slot_version() == 2
+            assert os.path.getsize(store.journal_of(key)) > 0
 
 
 class TestMultiTenant:
@@ -869,6 +1068,10 @@ class TestMultiTenant:
         assert checkpoint_key("test:999.go/B", MergePolicy()) in keys
         assert tenant_directory_key("test") in keys
         assert not any(key.startswith("key-") for key in keys)
+        # Each slot's journal is pinned with it.
+        for tag in ("test", "test:999.go/B"):
+            journal = store.journal_of(checkpoint_key(tag, MergePolicy()))
+            assert os.path.getsize(journal) > 0
 
 
 class TestDeprecatedShims:

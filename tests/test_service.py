@@ -13,6 +13,7 @@ from repro.service import (
     FarmConfig,
     MergePolicy,
     ClientRun,
+    canonical_json,
     ingest_dir,
     ingest_paths,
     merge_runs,
@@ -448,6 +449,13 @@ class TestArtifactStore:
         assert store.get("k" * 40) == payload
         assert store.stats.hits == 1
         assert store.stats.puts == 1
+        # A payload given as its canonical bytes is stored identically.
+        assert store.put("e" * 40, canonical_json(payload))
+        with open(store.path_of("k" * 40), "rb") as handle:
+            as_dict = handle.read()
+        with open(store.path_of("e" * 40), "rb") as handle:
+            as_bytes = handle.read()
+        assert as_bytes == as_dict.replace(b"k" * 40, b"e" * 40)
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         store = ArtifactStore(root=str(tmp_path))
