@@ -64,10 +64,26 @@ _FNV = 0x100000001B3
 _UNIT_CHUNK = 512
 
 
+#: The values ``REPRO_ENGINE`` (and the ``--engine`` flag) accept.
+ENGINES = ("batched", "compiled", "reference")
+
+
 def default_engine() -> str:
-    """Engine selection: ``REPRO_ENGINE`` = ``compiled`` (default) or
-    ``reference``."""
-    return os.environ.get("REPRO_ENGINE", "compiled")
+    """``REPRO_ENGINE``, normalized: ``batched`` (the default: fleets
+    batch their clients, single runs use the compiled engine),
+    ``compiled`` or ``reference``.
+
+    The one parser of the variable: surrounding whitespace and case are
+    ignored, and any other value raises ``ValueError``.
+    """
+    raw = os.environ.get("REPRO_ENGINE", "batched")
+    engine = raw.strip().lower()
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown REPRO_ENGINE {raw!r}; expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return engine
 
 
 def compiled_enabled() -> bool:

@@ -1,13 +1,12 @@
 """Runtime-compiled C kernel for the batched engine.
 
-Numpy dispatch overhead puts a hard floor under the pure-python
-lockstep kernel: at small fleet sizes (the 16-client service smoke)
-each vector op costs more than the scalar work it replaces.  This
-module compiles a ~150-line C port of
+Running each fleet row through the Python compiled engine pays
+interpreter overhead on every retired branch.  This module compiles a
+~150-line C port of
 :meth:`repro.engine.compiled.CompiledExecutor._run_segments` with the
 *system* C compiler at first use — no new dependency, no build step —
-and drives it per row over the flat :class:`~repro.engine.batched.BatchTables`
-arrays via ctypes.
+and drives it per row over the flat
+:class:`~repro.engine.batched.BatchTables` arrays via ctypes.
 
 Bit-identity holds by construction: the C walk performs the identical
 sequence of integer ops (same splitmix64 mixer, same uint64 -> float64
@@ -20,10 +19,10 @@ crossings, stack growth beyond the preallocated cap — makes the kernel
 
 Controls: ``REPRO_NATIVE=off`` disables the kernel entirely; any
 compile or load failure disables it for the process (the batched
-engine then uses lockstep/scalar).  Shared objects are cached under
-``~/.cache/repro-native/`` (override: ``REPRO_NATIVE_CACHE``) keyed by
-source hash, so the one-time compile (~100 ms) is paid once per
-machine, not per process.
+engine then runs every row through the scalar kernel).  Shared
+objects are cached under ``~/.cache/repro-native/`` (override:
+``REPRO_NATIVE_CACHE``) keyed by source hash, so the one-time compile
+(~100 ms) is paid once per machine, not per process.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ must survive (``repro chaos``).
 """
 
 from .aggregate import (
-    AGGREGATOR_MODES,
     AGGREGATOR_STATE_VERSION,
     CONTRACT,
     ClientRun,
@@ -80,7 +79,6 @@ from .farm import (
 from .report import FleetReport, build_report
 
 __all__ = [
-    "AGGREGATOR_MODES",
     "AGGREGATOR_STATE_VERSION",
     "ALL_SERVICE_FAULT_MODES",
     "ArtifactEntry",

@@ -523,10 +523,6 @@ _READABLE_VERSIONS = (AGGREGATOR_STATE_VERSION, _INLINE_LEDGER_VERSION)
 #: upgrade restores the old slot and rewrites it in place.
 _SLOT_KEY_VERSION = 1
 
-#: The two aggregation strategies ``--aggregator`` selects between.
-AGGREGATOR_MODES = ("streaming", "batch")
-
-
 @dataclass(frozen=True)
 class ContractTolerance:
     """The determinism contract's stated tolerance.
@@ -1458,7 +1454,6 @@ def merge_stream(
 
 
 __all__ = [
-    "AGGREGATOR_MODES",
     "AGGREGATOR_STATE_VERSION",
     "CONTRACT",
     "ClientRun",

@@ -10,8 +10,8 @@ stamp (run id, seed, staleness epoch).
 
 By default the whole fleet advances through the batched engine
 (:mod:`repro.engine.batched`): the binary is built, compiled, and
-linked once, and the N client runs execute as N lockstep rows over the
-shared tables — bit-identical to the per-client path, which remains
+linked once, and the N client runs execute as N rows over the shared
+tables — bit-identical to the per-client path, which remains
 available via ``REPRO_ENGINE=compiled`` (or ``reference``) and is the
 automatic fallback whenever a ``mutate`` hook does something the
 batch cannot express (see :func:`_batched_profiles`).
@@ -185,8 +185,8 @@ def simulate_fleet(
     branch behavior in place before profiling, modelling a fleet whose
     dynamic control flow has moved away from the shipped profile.
 
-    The fleet advances through the batched lockstep engine by default
-    (build/compile/link once, one numpy row per client); set
+    The fleet advances through the batched engine by default
+    (build/compile/link once, one row per client); set
     ``REPRO_ENGINE=compiled`` to force the original per-client loop.
     Both paths write byte-identical documents.
 

@@ -49,13 +49,7 @@ from repro.postlink.coverage import project_coverage
 from repro.regions.region import selected_origins
 from repro.workloads.suite import load_benchmark
 
-from .aggregate import (
-    AGGREGATOR_MODES,
-    IncrementalAggregator,
-    MergePolicy,
-    ingest_paths,
-    merge_runs,
-)
+from .aggregate import MergePolicy, ingest_paths, merge_runs
 from .artifacts import ArtifactStore, default_store
 from .clients import simulate_fleet
 from .drift import DriftDetector, DriftSpec, apply_drift
@@ -95,12 +89,6 @@ class ControllerConfig:
     patience: int = 1
     #: Full pipeline document for the packer (``None`` = defaults).
     pipeline: Optional[Dict] = None
-    #: Re-aggregation strategy: ``"batch"`` re-ingests the window's
-    #: documents from disk on every re-pack; ``"streaming"`` folds each
-    #: epoch's uploads into a live :class:`IncrementalAggregator` as
-    #: they are written and snapshots it (same merged profile, under
-    #: the determinism contract, without the per-re-pack re-ingest).
-    aggregator: str = "batch"
 
     def __post_init__(self) -> None:
         if self.epochs < 2:
@@ -117,11 +105,6 @@ class ControllerConfig:
             raise ValueError("epoch_window must be >= 0")
         if not 0 <= self.recovery_tolerance < 1:
             raise ValueError("recovery_tolerance must be in [0, 1)")
-        if self.aggregator not in AGGREGATOR_MODES:
-            raise ValueError(
-                f"aggregator must be one of {AGGREGATOR_MODES}, "
-                f"got {self.aggregator!r}"
-            )
 
     def farm_config(self) -> FarmConfig:
         return FarmConfig(
@@ -153,7 +136,6 @@ class ControllerConfig:
             "recovery_tolerance": self.recovery_tolerance,
             "shard_size": self.shard_size,
             "drift": self.drift.to_dict(),
-            "aggregator": self.aggregator,
             "detector": {
                 "decay_threshold": self.decay_threshold,
                 "min_staleness": self.min_staleness,
@@ -266,10 +248,6 @@ def run_controller(
         config.benchmark, config.input_name, scale=config.scale
     )
     pristine = canonical.behavior.bias_snapshot()
-    streaming = (
-        IncrementalAggregator(merge_policy)
-        if config.aggregator == "streaming" else None
-    )
 
     shipped: Optional[_Shipped] = None
     epoch_rows: List[Dict] = []
@@ -291,15 +269,8 @@ def run_controller(
         """Merge the window's profiles, pack through the farm, ship."""
         nonlocal repack_seconds
         started = time.perf_counter()
-        if streaming is not None:
-            # The live state already holds every upload; the policy's
-            # epoch window ages the out-of-window epochs at snapshot
-            # time, matching the batch path's window-limited re-ingest.
-            fleet = streaming.snapshot()
-        else:
-            paths = _epoch_paths(work, epoch - config.epoch_window, epoch)
-            ingest = ingest_paths(paths)
-            fleet = merge_runs(ingest, merge_policy)
+        paths = _epoch_paths(work, epoch - config.epoch_window, epoch)
+        fleet = merge_runs(ingest_paths(paths), merge_policy)
         packed = pack_fleet(
             fleet, farm_config, jobs=jobs, store=store, policy=policy
         )
@@ -365,7 +336,6 @@ def run_controller(
                 epoch_offset=epoch,
                 run_prefix=f"e{epoch:03d}c",
                 mutate=mutate,
-                aggregator=streaming,
             )
 
             if shipped is None:
@@ -498,7 +468,6 @@ def run_controller(
         "benchmark": f"{config.benchmark}/{config.input_name}",
         "scale": config.scale,
         "jobs": resolve_jobs(jobs),
-        "aggregator": config.aggregator,
         "config": config.to_dict(),
         "epochs": epoch_rows,
         "events": events,

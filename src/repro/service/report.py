@@ -59,8 +59,8 @@ def batched_engine_section() -> Dict[str, int]:
 
     ``{"rows": ..., "retired_rows": ..., "steps": ...}`` from this
     process's metrics registry — all zero for a request served purely
-    from on-disk profiles, live counts when the fleet was simulated in
-    lockstep (``repro ingest``/``drift``).  Deterministic for a given
+    from on-disk profiles, live counts when the fleet was simulated
+    batched (``repro ingest``/``drift``).  Deterministic for a given
     request: row/step counts are part of the engine's bit-identity
     contract, unlike wall-clock timings.
     """

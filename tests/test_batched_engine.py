@@ -4,9 +4,9 @@ The contract (see :mod:`repro.engine.batched`) is that a batch of N
 client rows — divergent behavior seeds over one binary — produces the
 same :class:`ExecutionSummary` fields and the same
 ``(branch_uid, taken, phase)`` event stream as N sequential
-:class:`CompiledExecutor` runs, for every kernel (``scalar``,
-``lockstep``, ``native``) and through the fleet simulation layer
-(byte-identical profile documents).
+:class:`CompiledExecutor` runs, for both kernels (``scalar`` and
+``native``) and through the fleet simulation layer (byte-identical
+profile documents).
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from repro.engine.batched import (
     fleet_batching_enabled,
     row_behavior,
 )
-from repro.engine.compiled import CompiledExecutor
+from repro.engine.compiled import (
+    CompiledExecutor,
+    compiled_enabled,
+    default_engine,
+)
 from repro.engine.native import native_kernel
 from repro.fuzz import load_case
 from repro.postlink.vacuum import VacuumPacker
@@ -44,7 +48,7 @@ from repro.workloads.synthetic import (
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
-KERNELS = ("scalar", "lockstep", "native")
+KERNELS = ("scalar", "native")
 
 SUITE_INPUTS = (
     ("181.mcf", "A"),
@@ -213,11 +217,57 @@ def test_fleet_batching_env(monkeypatch):
     assert not fleet_batching_enabled()
 
 
+@pytest.mark.parametrize(
+    "raw,engine",
+    [
+        ("Reference", "reference"),
+        (" reference", "reference"),
+        (" Batched\n", "batched"),
+        ("bogus", None),
+    ],
+)
+def test_engine_env_has_one_parser(raw, engine, monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", raw)
+    if engine is None:
+        for helper in (default_engine, compiled_enabled,
+                       fleet_batching_enabled):
+            with pytest.raises(ValueError, match="batched, compiled, "
+                                                 "reference"):
+                helper()
+        return
+    assert default_engine() == engine
+    assert compiled_enabled() == (engine != "reference")
+    assert fleet_batching_enabled() == (engine == "batched")
+
+
 def test_batch_kernel_env(monkeypatch):
     monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
     assert batch_kernel() == "auto"
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Lockstep ")
-    assert batch_kernel() == "lockstep"
+    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Scalar ")
+    assert batch_kernel() == "scalar"
+
+
+def test_unknown_batch_kernel_names_the_valid_values(monkeypatch):
+    monkeypatch.setenv("REPRO_BATCH_KERNEL", "lockstep")
+    workload = load_benchmark("181.mcf", "A", scale=0.05)
+    executor = BatchedExecutor(
+        workload.program,
+        workload.behavior,
+        workload.phase_script,
+        seeds=[3, 4, 5, 6],
+        limits=workload.limits,
+    )
+    with pytest.raises(ValueError, match="auto, native, scalar"):
+        executor.run_traced()
+
+
+def test_auto_without_compiler_runs_scalar(monkeypatch):
+    # REPRO_NATIVE=off stands in for a machine without a C compiler.
+    monkeypatch.setenv("REPRO_NATIVE", "off")
+    monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
+    workload = load_benchmark("181.mcf", "A", scale=0.05)
+    run = assert_batch_matches(workload, seeds=[3, 4, 5, 6])
+    assert run.kernel == "scalar"
 
 
 def test_single_run_falls_back_to_scalar():

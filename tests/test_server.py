@@ -37,6 +37,7 @@ from repro.service import (
     equivalence_diffs,
     merge_runs,
     pack_fleet,
+    profiles_equivalent,
     simulate_fleet,
 )
 from repro.hsd.serialize import document_from_json
@@ -1074,22 +1075,51 @@ class TestMultiTenant:
             assert os.path.getsize(journal) > 0
 
 
-class TestDeprecatedShims:
-    def test_flat_client_methods_warn_and_delegate(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "store"))
-        with start_daemon_thread(daemon_config(), store=store) as handle:
-            with DaemonClient.for_daemon(handle) as client:
-                texts = [doc_text(i) for i in range(3)]
-                with pytest.deprecated_call():
-                    status, body = client.post_profiles(texts)
-                assert status == 200 and body["folded"] == 3
-                with pytest.deprecated_call():
-                    status, snap = client.snapshot()
-                assert status == 200
-                assert snap["tenant"] == f"{BENCH}/{INPUT}"
-                with pytest.deprecated_call():
-                    status, _ = client.repack()
-                assert status == 200
+class TestProfilesPreload:
+    OTHER = "999.go/B"
+
+    def test_boot_preload_merges_per_tenant_and_reboot_folds_nothing(
+        self, tmp_path
+    ):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        texts = {
+            f"{BENCH}/{INPUT}": [doc_text(i) for i in range(6)],
+            self.OTHER: [doc_text(i, tenant=self.OTHER)
+                         for i in range(6, 10)],
+        }
+        lines = texts[f"{BENCH}/{INPUT}"] + texts[self.OTHER]
+        for i, text in enumerate(lines):
+            (profiles / f"doc-{i:03d}.json").write_text(text)
+        corrupt = profiles / "doc-999.json"
+        corrupt.write_text("{not json")
+        config = daemon_config(profiles_dir=str(profiles))
+        store_dir = str(tmp_path / "store")
+
+        daemon = ProfileDaemon(config, store=ArtifactStore(store_dir))
+        assert daemon.registry.names() == sorted(texts)
+        for name, tenant_texts in texts.items():
+            tenant = daemon.registry.peek(name)
+            assert tenant.aggregator.documents == len(tenant_texts)
+            assert profiles_equivalent(
+                tenant.snapshot(), merge_runs(runs_of(tenant_texts))
+            ), name
+        default = daemon.registry.default.aggregator
+        assert [r.path for r in default.rejected] == [str(corrupt)]
+        assert default.rejected[0].stage == "parse"
+        assert daemon.checkpoint()
+
+        # A reboot over the same store and directory restores each
+        # tenant and finds every document already folded.
+        again = ProfileDaemon(config, store=ArtifactStore(store_dir))
+        for name, tenant_texts in texts.items():
+            tenant = again.registry.peek(name)
+            assert tenant.restored, name
+            assert tenant.aggregator.documents == len(tenant_texts)
+            assert tenant.aggregator.duplicates == len(tenant_texts)
+            assert profiles_equivalent(
+                tenant.snapshot(), merge_runs(runs_of(tenant_texts))
+            ), name
 
 
 class TestCliSurface:
@@ -1103,25 +1133,14 @@ class TestCliSurface:
     def test_server_flags_build_the_config(self):
         from repro.cli import _server_config_from_args
 
-        args = self._server_args("server", "--bench", "181.mcf/A")
+        args = self._server_args(
+            "server", "--bench", "181.mcf/A", "--profiles", "p",
+        )
         config = _server_config_from_args(args)
         assert (config.host, config.port) == ("127.0.0.1", 8080)
         assert config.benchmark == "181.mcf"
         assert config.shard_size == 1 and config.store is None
         assert config.tag == "server"
-
-    def test_serve_listen_forwards_with_fleet_flags(self):
-        from repro.cli import _server_config_from_args, build_parser
-
-        serve = build_parser().parse_args([
-            "serve", "--bench", "181.mcf/A", "--profiles", "p",
-            "--listen", "0.0.0.0:0",
-        ])
-        serve.pipeline = None
-        assert serve.listen == "0.0.0.0:0"
-        assert serve.shard_size == 1 and serve.store is None
-        config = _server_config_from_args(serve)
-        assert (config.host, config.port) == ("0.0.0.0", 0)
         assert config.profiles_dir == "p"
 
     def test_server_config_file_with_flag_overrides(self, tmp_path):
