@@ -1,8 +1,8 @@
 """Batched execution: N client runs of one binary over shared tables.
 
 Fleet features (service ingest, the drift controller's per-epoch
-probes, the bench suite) simulate clients by re-running the compiled
-engine once per client.  All of those runs share one
+probes, the perfbench workloads) simulate clients by re-running the
+compiled engine once per client.  All of those runs share one
 :class:`~repro.engine.compiled.CompiledProgram`; only the per-row
 behavior seed (and, under drift, the per-row bias table) differs.
 This module batches them:

@@ -459,7 +459,9 @@ class ProfileDaemon:
 
         Returns ``(disposition, tenant, reject)`` where disposition is
         ``folded`` | ``duplicate`` | ``rejected`` and ``reject`` (for
-        rejections only) carries the quarantine fields.
+        rejections only) carries the quarantine fields.  A named
+        document whose content is already quarantined is a
+        ``duplicate``: a reboot's rescan never quarantines it twice.
         """
         parsed: Optional[Dict] = None
         stamp = None
@@ -490,30 +492,23 @@ class ProfileDaemon:
         if tenant is None:
             tenant = self.registry.default
 
-        if route_error is not None:
-            label = name or "<upload:{}>".format(
-                hashlib.blake2b(text.encode(), digest_size=16)
-                .hexdigest()[:12]
-            )
-            with tenant.lock:
-                reject = tenant.aggregator.reject(label, route_error)
-            return "rejected", tenant, {
-                "error": reject.error,
-                "stage": reject.stage,
-                "exception_type": reject.exception_type,
-            }
-
         agg = tenant.aggregator
         with tenant.lock:
-            before_rejects = len(agg.rejected)
-            before_dupes = agg.duplicates
-            if agg.ingest_text(text, name=name, parsed=parsed):
-                return "folded", tenant, None
-            if agg.duplicates > before_dupes:
-                return "duplicate", tenant, None
-            reject = agg.rejected[-1] if len(agg.rejected) > before_rejects \
-                else None
-        if reject is None:  # pragma: no cover - ingest_text invariant
+            if route_error is not None:
+                digest = hashlib.blake2b(
+                    text.encode(), digest_size=16
+                ).hexdigest()
+                reject = agg.reject(
+                    name or f"<upload:{digest[:12]}>", route_error,
+                    digest if name else "",
+                )
+            else:
+                before_rejects = len(agg.rejected)
+                if agg.ingest_text(text, name=name, parsed=parsed):
+                    return "folded", tenant, None
+                reject = (agg.rejected[-1]
+                          if len(agg.rejected) > before_rejects else None)
+        if reject is None:  # deduplicated, or already quarantined
             return "duplicate", tenant, None
         return "rejected", tenant, {
             "error": reject.error,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -98,6 +98,9 @@ class RejectedProfile:
     #: :data:`repro.hsd.serialize.VALIDATION_STAGES` (``parse``,
     #: ``schema``, ``records``, ``provenance``).
     stage: str = "parse"
+    #: Content digest of a quarantined named document (a file path);
+    #: empty for reads that failed and for anonymous uploads.
+    digest: str = ""
 
     def render(self) -> str:
         line = f"{self.path}: [{self.exception_type}/{self.stage}] {self.error}"
@@ -782,6 +785,8 @@ class IncrementalAggregator:
         self._epoch_runs: Dict[int, int] = {}
         #: path -> content digest of successfully folded documents
         self._seen: Dict[str, str] = {}
+        #: path -> content digest of its latest quarantined document
+        self._quarantined: Dict[str, str] = {}
         self.rejected: List[RejectedProfile] = []
         #: Documents folded into the live state.
         self.documents = 0
@@ -880,9 +885,20 @@ class IncrementalAggregator:
         self._pending.append((name, digest, run.run_id, run.epoch, sids))
         self._changes += 1
 
-    def reject(self, path: str, exc: Exception) -> RejectedProfile:
-        """Quarantine one unusable document (:func:`quarantine_profile`)."""
-        rejected = quarantine_profile(path, exc)
+    def reject(
+        self, path: str, exc: Exception, digest: str = ""
+    ) -> Optional[RejectedProfile]:
+        """Quarantine one unusable document (:func:`quarantine_profile`).
+
+        With a content ``digest``, the same content at the same path is
+        quarantined once: a re-scan of an unchanged corrupt file
+        returns None and records nothing.
+        """
+        if digest and self._quarantined.get(path) == digest:
+            return None
+        rejected = replace(quarantine_profile(path, exc), digest=digest)
+        if digest:
+            self._quarantined[path] = digest
         self.rejected.append(rejected)
         self._changes += 1
         return rejected
@@ -907,7 +923,8 @@ class IncrementalAggregator:
         path — its content may legitimately change and re-fold) or the
         content digest itself (an anonymous upload — identical bytes
         can never double-count, which is what lets a restarted daemon
-        receive replayed uploads safely).
+        receive replayed uploads safely).  A named document whose
+        content is already quarantined is not quarantined again.
 
         ``parsed`` lets a caller that already ran ``json.loads(text)``
         (the daemon's per-line tenant router peeks at
@@ -920,7 +937,8 @@ class IncrementalAggregator:
             self.duplicates += 1
             inc("service.agg.duplicates")
             return False
-        label = name or f"<upload:{digest[:12]}>"
+        label, reject_digest = (name, digest) if name else (
+            f"<upload:{digest[:12]}>", "")
         try:
             if isinstance(parsed, dict):
                 doc = document_from_dict(parsed)
@@ -928,12 +946,12 @@ class IncrementalAggregator:
                 doc = document_from_json(text)
             run = ClientRun.from_document(label, doc)
         except ProfileFormatError as exc:
-            self.reject(label, exc)
+            self.reject(label, exc, reject_digest)
             return False
         except (TypeError, ValueError) as exc:
             self.reject(label, ProfileFormatError(
                 f"unusable provenance stamp: {exc}", stage="provenance"
-            ))
+            ), reject_digest)
             return False
         self._seen[key] = digest
         self._fold(run, name, digest)
@@ -1207,14 +1225,7 @@ class IncrementalAggregator:
                 str(epoch): count
                 for epoch, count in sorted(self._epoch_runs.items())
             },
-            "rejected": [
-                {
-                    "path": r.path, "error": r.error,
-                    "exception_type": r.exception_type,
-                    "hint": r.hint, "stage": r.stage,
-                }
-                for r in self.rejected
-            ],
+            "rejected": [asdict(r) for r in self.rejected],
             "reported_aged": self._reported_aged,
             "groups": groups,
             "journal": {
@@ -1259,6 +1270,7 @@ class IncrementalAggregator:
         agg.rejected = [
             RejectedProfile(**entry) for entry in state["rejected"]
         ]
+        agg._quarantined = {r.path: r.digest for r in agg.rejected if r.digest}
         by_id: Dict[int, _SigGroup] = {}
         inline_runs: Dict[Tuple[str, int], List[int]] = {}
         for position, group_state in enumerate(state["groups"]):

@@ -286,7 +286,8 @@ def test_cli_engine_flag_normalized():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["bench", "--quick", "--engine", "BATCHED"]
+        ["ingest", "--bench", "181.mcf/A", "--out-dir", "fleet",
+         "--engine", "BATCHED"]
     )
     assert args.engine == "batched"
 

@@ -1120,6 +1120,36 @@ class TestProfilesPreload:
             assert profiles_equivalent(
                 tenant.snapshot(), merge_runs(runs_of(tenant_texts))
             ), name
+        # The unchanged corrupt file is not quarantined a second time,
+        # on this boot or the next.
+        assert again.registry.default.aggregator.rejected == default.rejected
+        again.checkpoint()
+        third = ProfileDaemon(config, store=ArtifactStore(store_dir))
+        assert third.registry.default.aggregator.rejected == default.rejected
+
+    def test_repaired_file_folds_on_the_next_boot(self, tmp_path):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        (profiles / "doc-000.json").write_text(doc_text(0))
+        broken = profiles / "doc-001.json"
+        broken.write_text("{not json")
+        # An unroutable stamp is quarantined at stage route, also once.
+        (profiles / "doc-002.json").write_text(doc_text(2, tenant="a b"))
+        config = daemon_config(profiles_dir=str(profiles))
+        store_dir = str(tmp_path / "store")
+
+        daemon = ProfileDaemon(config, store=ArtifactStore(store_dir))
+        rejected = daemon.aggregator.rejected
+        assert [r.stage for r in rejected] == ["parse", "route"]
+        assert daemon.checkpoint()
+
+        broken.write_text(doc_text(1))
+        again = ProfileDaemon(config, store=ArtifactStore(store_dir))
+        assert again.aggregator.documents == 2
+        assert again.aggregator.rejected == rejected
+        assert profiles_equivalent(
+            again.snapshot(), merge_runs(runs_of([doc_text(0), doc_text(1)]))
+        )
 
 
 class TestCliSurface:
