@@ -1,10 +1,10 @@
 """Batched execution: N client runs of one binary over shared tables.
 
-Fleet features (service ingest, the drift controller's per-epoch
-probes, the perfbench workloads) simulate clients by re-running the
-compiled engine once per client.  All of those runs share one
-:class:`~repro.engine.compiled.CompiledProgram`; only the per-row
-behavior seed (and, under drift, the per-row bias table) differs.
+Fleet simulation (service ingest, the drift controller's per-epoch
+probes, the perfbench workloads) profiles many clients of one binary.
+All of those runs share one :class:`~repro.engine.compiled.CompiledProgram`;
+only the per-row behavior seed (and, under drift, the per-row bias
+table) differs.
 This module batches them:
 
 * :class:`BatchTables` lowers the compiled program's lazily-built
@@ -19,12 +19,10 @@ This module batches them:
     :mod:`repro.engine.native`), driven once per row over the shared
     tables;
   - ``scalar`` — one :class:`CompiledExecutor` per row: the path when
-    no C compiler is available and for N=1, and the exactness
-    fallback for hazards (instruction-limited budgets, step-guard
-    crossings, branchless cycles, stack overflow).
-
-  Kernel choice: ``REPRO_BATCH_KERNEL`` = ``auto`` (default: native
-  when a compiler is available, else scalar) | ``native`` | ``scalar``.
+    no C compiler is available (or ``REPRO_NATIVE=off``), for N=1 and
+    for budgets the native kernel does not take, and the exactness
+    fallback for hazards (step-guard crossings, branchless cycles,
+    stack overflow).
 
 Equivalence is contractual, exactly as for the compiled engine:
 identical :class:`~repro.engine.executor.ExecutionSummary` fields and
@@ -35,13 +33,13 @@ divergent per-row behavior seeds over one binary
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.engine import native
 from repro.engine.behavior import BehaviorModel
 from repro.engine.compiled import (
     CompiledExecutor,
@@ -52,7 +50,6 @@ from repro.engine.compiled import (
     _build_segment,
     _FUSE_PAD,
     compile_program,
-    default_engine,
     share_outcome_table,
 )
 from repro.engine.executor import (
@@ -76,29 +73,11 @@ _K_BRANCH, _K_RET, _K_HALT, _K_HAZARD = 0, 1, 2, 3
 _STOP = (StopReason.HALTED, StopReason.BRANCH_LIMIT, StopReason.STACK_UNDERFLOW)
 
 
-#: The values ``REPRO_BATCH_KERNEL`` accepts.
-_BATCH_KERNELS = ("auto", "native", "scalar")
-
-
 def batch_kernel() -> str:
-    """``REPRO_BATCH_KERNEL``: ``auto`` (default), ``native`` or
-    ``scalar``; raises ``ValueError`` on anything else."""
-    raw = os.environ.get("REPRO_BATCH_KERNEL", "auto")
-    choice = raw.strip().lower()
-    if choice not in _BATCH_KERNELS:
-        raise ValueError(
-            f"unknown REPRO_BATCH_KERNEL {raw!r}; expected one of "
-            f"{', '.join(_BATCH_KERNELS)}"
-        )
-    return choice
-
-
-def fleet_batching_enabled() -> bool:
-    """Whether fleet simulation advances clients through the batched
-    engine (the default).  ``REPRO_ENGINE=compiled`` or ``reference``
-    opts back into the sequential per-client path; ``batched`` (also
-    accepted by the ``--engine`` flag) requests it explicitly."""
-    return default_engine() == "batched"
+    """The kernel multi-row batches run here: ``native`` when the C
+    kernel is available (see :func:`repro.engine.native.native_kernel`),
+    else ``scalar``."""
+    return "native" if native.native_kernel() is not None else "scalar"
 
 
 def row_behavior(base: BehaviorModel, seed: int) -> BehaviorModel:
@@ -359,28 +338,17 @@ class BatchedExecutor:
 
     # -- kernel selection ---------------------------------------------
     def _pick_kernel(self, n: int) -> str:
-        choice = batch_kernel()
-        if choice == "scalar" or n <= 1:
-            return "scalar"
         # The native kernel shares limits across rows and pre-sizes the
         # event log from max_branches; instruction-limited or unbounded
         # budgets take the compiled engine's own exact paths per row.
         if (
-            self.limits.max_instructions is not None
+            n <= 1
+            or self.limits.max_instructions is not None
             or self.limits.max_branches is None
             or self.limits.max_branches > (1 << 26)
         ):
             return "scalar"
-        from repro.engine.native import native_kernel
-
-        if native_kernel() is not None:
-            return "native"
-        if choice == "native":
-            raise RuntimeError(
-                "REPRO_BATCH_KERNEL=native but no working C compiler; "
-                "unset it or use scalar"
-            )
-        return "scalar"
+        return batch_kernel()
 
     # -- shared row plumbing ------------------------------------------
     def _phase_arrays(self):
@@ -478,9 +446,7 @@ class BatchedExecutor:
 
     # -- native kernel ------------------------------------------------
     def _run_native(self) -> BatchRun:
-        from repro.engine.native import native_kernel
-
-        kernel = native_kernel()
+        kernel = native.native_kernel()
         tables = self.tables
         sp, sl = self._phase_arrays()
         shared_probs = prob_matrix(

@@ -29,7 +29,6 @@ asserts this property across the workload suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -62,32 +61,6 @@ _FNV = 0x100000001B3
 
 #: Initial per-branch outcome table size; doubles on demand.
 _UNIT_CHUNK = 512
-
-
-#: The values ``REPRO_ENGINE`` (and the ``--engine`` flag) accept.
-ENGINES = ("batched", "compiled", "reference")
-
-
-def default_engine() -> str:
-    """``REPRO_ENGINE``, normalized: ``batched`` (the default: fleets
-    batch their clients, single runs use the compiled engine),
-    ``compiled`` or ``reference``.
-
-    The one parser of the variable: surrounding whitespace and case are
-    ignored, and any other value raises ``ValueError``.
-    """
-    raw = os.environ.get("REPRO_ENGINE", "batched")
-    engine = raw.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown REPRO_ENGINE {raw!r}; expected one of "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
-
-
-def compiled_enabled() -> bool:
-    return default_engine() != "reference"
 
 
 def _vec_splitmix64(x: np.ndarray) -> np.ndarray:

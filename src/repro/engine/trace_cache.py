@@ -47,7 +47,6 @@ from repro.engine.behavior import BehaviorModel
 from repro.engine.compiled import (
     CompiledExecutor,
     TraceData,
-    compiled_enabled,
     program_signature,
 )
 from repro.engine.executor import ExecutionLimits, ExecutionSummary, StopReason
@@ -476,7 +475,6 @@ __all__ = [
     "TraceCache",
     "atomic_write",
     "behavior_fingerprint",
-    "compiled_enabled",
     "default_cache",
     "image_for",
     "reset_default_cache",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set
 
-from repro.engine.compiled import ReplayDivergence, compiled_enabled, run_workload
+from repro.engine.compiled import ReplayDivergence, run_workload
 from repro.engine.executor import ExecutionSummary
 from repro.engine.trace_cache import traced_run
 from repro.workloads.base import Workload
@@ -139,21 +139,17 @@ def project_coverage(
 def measure_coverage(workload: Workload, packed: PackedProgram) -> CoverageResult:
     """Run the workload over the packed program and classify it.
 
-    Under the compiled engine the packed run *replays* the original
-    program's cached branch stream (identical by construction — copies
-    resolve behaviour through origin uids) with per-event uid
-    verification, skipping outcome computation entirely.  A
+    The packed run *replays* the original program's cached branch
+    stream (identical by construction — copies resolve behaviour through
+    origin uids) with per-event uid verification, skipping outcome
+    computation entirely.  A
     :class:`ReplayDivergence` — a genuinely mis-rewritten program —
     falls back to a computed run so the divergence surfaces through the
     normal coverage/differential numbers rather than an engine error.
     """
-    if compiled_enabled():
-        trace = traced_run(workload)
-        try:
-            summary = run_workload(workload, program=packed.program,
-                                   replay=trace)
-        except ReplayDivergence:
-            summary = workload.run(program=packed.program)
-    else:
+    trace = traced_run(workload)
+    try:
+        summary = run_workload(workload, program=packed.program, replay=trace)
+    except ReplayDivergence:
         summary = workload.run(program=packed.program)
     return classify_summary(packed, summary)

@@ -46,7 +46,7 @@ from repro.obs import annotate, inc, observe, span
 
 from repro.engine.executor import ExecutionSummary
 from repro.engine.listeners import HSDListener
-from repro.engine.trace_cache import compiled_enabled, image_for, traced_run
+from repro.engine.trace_cache import TraceData, image_for, traced_run
 from repro.errors import ProfileError, ReproError, RewriteError
 from repro.hsd.detector import HotSpotDetector
 from repro.hsd.records import HotSpotRecord
@@ -204,60 +204,21 @@ class VacuumPacker:
         self.validate = self.config.validate
 
     # -- step 1 ------------------------------------------------------
-    def profile(self, workload: Workload) -> ProfileResult:
-        """Run the workload under the Hot Spot Detector.
-
-        With the compiled engine (the default) the retired-branch trace
-        comes through the content-addressed trace cache and is fed to
-        the detector's chunked fast path; ``REPRO_ENGINE=reference``
-        keeps the original per-event interpreter plumbing.
-        """
-        started = time.perf_counter()
-        with span("pipeline.profile", workload=workload.name) as entry:
-            image = image_for(workload.program)
-            address_of = {
-                uid: address
-                for uid, address in image.instruction_address.items()
-            }
-            listener = HSDListener(
-                HotSpotDetector(self.hsd_config), address_of, self.similarity
-            )
-            if compiled_enabled():
-                trace = traced_run(workload)
-                listener.consume_trace(trace.uids, trace.taken)
-                summary = trace.summary
-            else:
-                summary = workload.run(branch_hooks=[listener])
-            annotate(
-                entry,
-                records=len(listener.unique_records),
-                raw_detections=listener.raw_detections,
-                branches=summary.branches,
-            )
-        observe("pipeline.stage.seconds", time.perf_counter() - started,
-                stage="profile")
-        inc("pipeline.phases_detected", len(listener.unique_records))
-        return ProfileResult(
-            records=listener.unique_records,
-            raw_detections=listener.raw_detections,
-            summary=summary,
-            image=image,
-        )
-
-    def profile_trace(
+    def profile(
         self,
         workload: Workload,
-        trace,
+        trace: Optional[TraceData] = None,
         image: Optional[ProgramImage] = None,
     ) -> ProfileResult:
-        """Profile from an already-recorded branch trace.
+        """Run the workload under the Hot Spot Detector.
 
-        The batched fleet engine (:mod:`repro.engine.batched`) runs
-        many clients through one program's shared tables and hands each
-        row's :class:`~repro.engine.trace_cache.TraceData` here; the
-        detector/filter stage is identical to :meth:`profile`, only the
-        engine run is skipped.  Pass ``image`` to share the linked
-        image across rows instead of re-deriving it per client.
+        The retired-branch trace comes through the content-addressed
+        trace cache and is fed to the detector's chunked fast path.
+        The batched fleet engine (:mod:`repro.engine.batched`) passes
+        each row's already-recorded
+        :class:`~repro.engine.trace_cache.TraceData` as ``trace``, which
+        skips the engine run, and shares one linked ``image`` across
+        rows instead of re-deriving it per client.
         """
         started = time.perf_counter()
         with span("pipeline.profile", workload=workload.name) as entry:
@@ -269,6 +230,8 @@ class VacuumPacker:
             listener = HSDListener(
                 HotSpotDetector(self.hsd_config), address_of, self.similarity
             )
+            if trace is None:
+                trace = traced_run(workload)
             listener.consume_trace(trace.uids, trace.taken)
             summary = trace.summary
             annotate(

@@ -39,7 +39,6 @@ from .aggregate import (
     ingest_paths,
     load_client_run,
     merge_runs,
-    merge_stream,
     profiles_equivalent,
     quarantine_profile,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "ingest_paths",
     "load_client_run",
     "merge_runs",
-    "merge_stream",
     "pack_fleet",
     "profiles_equivalent",
     "quarantine_profile",

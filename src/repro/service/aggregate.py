@@ -1454,17 +1454,6 @@ def checkpoint_key(tag: str, policy: MergePolicy) -> str:
     return digest.hexdigest()
 
 
-def merge_stream(
-    paths: Iterable[Union[str, Path]],
-    policy: Optional[MergePolicy] = None,
-    aggregator: Optional[IncrementalAggregator] = None,
-) -> Tuple[IncrementalAggregator, FleetProfile]:
-    """Streaming counterpart of ``merge_runs(ingest_paths(...))``."""
-    aggregator = aggregator or IncrementalAggregator(policy)
-    aggregator.ingest_paths(paths)
-    return aggregator, aggregator.snapshot()
-
-
 __all__ = [
     "AGGREGATOR_STATE_VERSION",
     "CONTRACT",
@@ -1483,7 +1472,6 @@ __all__ = [
     "ingest_paths",
     "load_client_run",
     "merge_runs",
-    "merge_stream",
     "profiles_equivalent",
     "record_signature",
     "quarantine_profile",

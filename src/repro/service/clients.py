@@ -8,13 +8,12 @@ Table 1 benchmark program under a *divergent* branch-behavior seed
 its Hot Spot Detector profile as a v2 document with a provenance
 stamp (run id, seed, staleness epoch).
 
-By default the whole fleet advances through the batched engine
+The whole fleet advances through the batched engine
 (:mod:`repro.engine.batched`): the binary is built, compiled, and
 linked once, and the N client runs execute as N rows over the shared
-tables — bit-identical to the per-client path, which remains
-available via ``REPRO_ENGINE=compiled`` (or ``reference``) and is the
-automatic fallback whenever a ``mutate`` hook does something the
-batch cannot express (see :func:`_batched_profiles`).
+tables — bit-identical to rebuilding and profiling each client on its
+own.  A ``mutate`` hook must stay inside that shared-binary contract
+(see :func:`_batched_profiles`).
 
 Runs are spread uniformly over ``epochs`` staleness epochs so the
 aggregation layer's staleness accounting has something real to chew
@@ -56,37 +55,30 @@ def _batched_profiles(
     scale: Optional[float],
     packer: VacuumPacker,
     mutate: Optional[Callable[[Workload, int], None]],
-) -> Optional[List[ProfileResult]]:
+) -> List[ProfileResult]:
     """Profile the whole fleet through the batched engine.
 
     Builds and links the benchmark once, computes each client's trace
     cache key with its seed (and drift mutation) applied, batches the
     misses through :class:`~repro.engine.batched.BatchedExecutor`, and
-    runs the detector stage per row.  Bit-identical to the sequential
-    path: same cache reads/writes, same records, same summaries.
+    runs the detector stage per row.  Bit-identical to profiling each
+    client on a fresh build: same cache reads/writes, same records,
+    same summaries.
 
-    Returns ``None`` — fall back to per-client runs — when batching is
-    disabled, ``runs <= 1``, or a ``mutate`` hook steps outside what
-    one shared binary can express: replacing the program/behavior/
-    script/limits objects, mutating program structure, or registering
+    Raises ``ValueError`` when a ``mutate`` hook steps outside what one
+    shared binary can express: replacing the program/behavior/script/
+    limits objects, mutating program structure, or registering
     different stable ids per client.
     """
     from repro.engine.batched import (
         BatchedExecutor,
         batch_tables_for,
-        fleet_batching_enabled,
         prob_matrix,
     )
-    from repro.engine.compiled import (
-        compile_program,
-        compiled_enabled,
-        program_signature,
-    )
+    from repro.engine.compiled import compile_program, program_signature
     from repro.engine.trace_cache import default_cache, image_for, trace_key
     from repro.obs import inc
 
-    if runs <= 1 or not fleet_batching_enabled() or not compiled_enabled():
-        return None
     workload = load_benchmark(benchmark, input_name, scale=scale)
     program = workload.program
     behavior = workload.behavior
@@ -110,20 +102,22 @@ def _batched_profiles(
         behavior.seed = base_seed + i
         if mutate is not None:
             mutate(workload, i)
+            if ids_after_first is None:
+                ids_after_first = dict(behavior._stable_id)
             if (
                 workload.program is not program
                 or workload.behavior is not behavior
                 or workload.phase_script is not script
                 or workload.limits is not limits
                 or program_signature(program) != signature
+                or behavior._stable_id != ids_after_first
             ):
                 behavior.restore_biases(pristine)
-                return None
-            if ids_after_first is None:
-                ids_after_first = dict(behavior._stable_id)
-            elif behavior._stable_id != ids_after_first:
-                behavior.restore_biases(pristine)
-                return None
+                raise ValueError(
+                    f"mutate hook changed client {i} beyond branch "
+                    "biases; every client of a fleet must run one "
+                    "shared binary"
+                )
             row_probs.append(prob_matrix(behavior, tables, phase_ids))
         keys.append(trace_key(program, behavior, script, limits, image=image))
         seeds.append(base_seed + i)
@@ -151,9 +145,7 @@ def _batched_profiles(
             inc("engine.simulated_branches", trace.summary.branches)
             cache.put(keys[slot], trace, program, image=image)
 
-    return [
-        packer.profile_trace(workload, trace, image=image) for trace in traces
-    ]
+    return [packer.profile(workload, trace, image=image) for trace in traces]
 
 
 def simulate_fleet(
@@ -180,15 +172,14 @@ def simulate_fleet(
     controller batches one ``simulate_fleet`` call per service epoch,
     using the prefixes to keep run ids unique across batches.
 
-    ``mutate`` (called with the freshly built workload and the client
-    index, after the behavior seed is set) is the drift hook: it edits
+    ``mutate`` (called with the fleet's workload, its biases reset to
+    the pristine build, and the client index, after the behavior seed
+    is set) is the drift hook: it edits
     branch behavior in place before profiling, modelling a fleet whose
-    dynamic control flow has moved away from the shipped profile.
-
-    The fleet advances through the batched engine by default
-    (build/compile/link once, one row per client); set
-    ``REPRO_ENGINE=compiled`` to force the original per-client loop.
-    Both paths write byte-identical documents.
+    dynamic control flow has moved away from the shipped profile.  It
+    may only change branch biases: the fleet is built once and advances
+    through the batched engine one row per client, and a hook that
+    rebuilds or restructures the program raises ``ValueError``.
 
     ``aggregator`` (an
     :class:`~repro.service.aggregate.IncrementalAggregator`) streams
@@ -203,20 +194,10 @@ def simulate_fleet(
         benchmark, input_name, runs, base_seed, scale, packer, mutate
     )
     clients: List[SimulatedClient] = []
-    for i in range(runs):
-        if profiles is not None:
-            profile = profiles[i]
-        else:
-            workload = load_benchmark(benchmark, input_name, scale=scale)
-            # Same binary, divergent dynamic behavior: only the branch
-            # outcome seed changes, never the program.
-            workload.behavior.seed = base_seed + i
-            if mutate is not None:
-                mutate(workload, i)
-            profile = packer.profile(workload)
+    for i, profile in enumerate(profiles):
         seed = base_seed + i
         run_id = f"{benchmark}/{input_name}#{run_prefix}{i:04d}"
-        epoch = epoch_offset + (i * epochs // runs if runs else 0)
+        epoch = epoch_offset + i * epochs // runs
         path = out / f"{file_prefix}-{i:04d}.json"
         save_profile(
             path,

@@ -319,8 +319,8 @@ def run_controller(
             )
 
             # Clients profile under the same (possibly drifted)
-            # behavior; their rebuilt workloads drift identically
-            # because guard selection is structural (uid order).
+            # behavior; every client drifts identically because guard
+            # selection is structural (uid order).
             mutate = None
             if drifted:
                 drift_spec = config.drift

@@ -20,19 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batched import (
-    BatchedExecutor,
-    batch_kernel,
-    fleet_batching_enabled,
-    row_behavior,
-)
-from repro.engine.compiled import (
-    CompiledExecutor,
-    compiled_enabled,
-    default_engine,
-)
+import repro.engine.native
+from repro.engine.batched import BatchedExecutor, batch_kernel, row_behavior
+from repro.engine.compiled import CompiledExecutor
 from repro.engine.native import native_kernel
+from repro.engine.trace_cache import reset_default_cache
 from repro.fuzz import load_case
+from repro.hsd.serialize import make_provenance, save_profile
 from repro.postlink.vacuum import VacuumPacker
 from repro.service.aggregate import ingest_dir, merge_runs
 from repro.service.artifacts import ArtifactStore
@@ -116,10 +110,11 @@ def assert_batch_matches(workload, seeds, limits=None):
 def test_suite_bit_identity(bench, input_name, kernel, monkeypatch):
     if kernel == "native" and native_kernel() is None:
         pytest.skip("no C compiler for the native kernel")
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", kernel)
+    if kernel == "scalar":
+        monkeypatch.setattr(repro.engine.native, "native_kernel", lambda: None)
     workload = load_benchmark(bench, input_name, scale=0.05)
     run = assert_batch_matches(workload, seeds=[3, 4, 5, 6])
-    if kernel != "scalar" and not run.scalar_rows:
+    if kernel == "scalar" or not run.scalar_rows:
         assert run.kernel == kernel
 
 
@@ -206,65 +201,16 @@ def test_random_batches_bit_identical(
 
 # -- engine selection ---------------------------------------------------
 
-def test_fleet_batching_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert not fleet_batching_enabled()
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert not fleet_batching_enabled()
-
-
-@pytest.mark.parametrize(
-    "raw,engine",
-    [
-        ("Reference", "reference"),
-        (" reference", "reference"),
-        (" Batched\n", "batched"),
-        ("bogus", None),
-    ],
-)
-def test_engine_env_has_one_parser(raw, engine, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", raw)
-    if engine is None:
-        for helper in (default_engine, compiled_enabled,
-                       fleet_batching_enabled):
-            with pytest.raises(ValueError, match="batched, compiled, "
-                                                 "reference"):
-                helper()
-        return
-    assert default_engine() == engine
-    assert compiled_enabled() == (engine != "reference")
-    assert fleet_batching_enabled() == (engine == "batched")
-
-
-def test_batch_kernel_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
-    assert batch_kernel() == "auto"
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", " Scalar ")
+def test_batch_kernel_reports_the_running_kernel(monkeypatch):
+    expected = "native" if native_kernel() is not None else "scalar"
+    assert batch_kernel() == expected
+    monkeypatch.setenv("REPRO_NATIVE", "off")
     assert batch_kernel() == "scalar"
-
-
-def test_unknown_batch_kernel_names_the_valid_values(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "lockstep")
-    workload = load_benchmark("181.mcf", "A", scale=0.05)
-    executor = BatchedExecutor(
-        workload.program,
-        workload.behavior,
-        workload.phase_script,
-        seeds=[3, 4, 5, 6],
-        limits=workload.limits,
-    )
-    with pytest.raises(ValueError, match="auto, native, scalar"):
-        executor.run_traced()
 
 
 def test_auto_without_compiler_runs_scalar(monkeypatch):
     # REPRO_NATIVE=off stands in for a machine without a C compiler.
     monkeypatch.setenv("REPRO_NATIVE", "off")
-    monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
     workload = load_benchmark("181.mcf", "A", scale=0.05)
     run = assert_batch_matches(workload, seeds=[3, 4, 5, 6])
     assert run.kernel == "scalar"
@@ -280,16 +226,6 @@ def test_single_run_falls_back_to_scalar():
         limits=workload.limits,
     ).run_traced()
     assert run.kernel == "scalar"
-
-
-def test_cli_engine_flag_normalized():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["ingest", "--bench", "181.mcf/A", "--out-dir", "fleet",
-         "--engine", "BATCHED"]
-    )
-    assert args.engine == "batched"
 
 
 # -- observability ------------------------------------------------------
@@ -332,6 +268,28 @@ def _fleet_bytes(directory):
     }
 
 
+def per_client_fleet(out_dir, runs, base_seed, scale, epochs, mutate=None):
+    """The fleet as one fresh build, seed and profile per client: the
+    oracle :func:`simulate_fleet`'s batched rows must match byte for
+    byte."""
+    out_dir.mkdir(parents=True)
+    for i in range(runs):
+        workload = load_benchmark("181.mcf", "A", scale=scale)
+        workload.behavior.seed = base_seed + i
+        if mutate is not None:
+            mutate(workload, i)
+        profile = VacuumPacker().profile(workload)
+        provenance = make_provenance(
+            f"181.mcf/A#r{i:04d}", base_seed + i, i * epochs // runs
+        )
+        save_profile(
+            out_dir / f"client-{i:04d}.json",
+            profile.records,
+            meta={"benchmark": "181.mcf/A", "scale": scale,
+                  "provenance": provenance},
+        )
+
+
 def test_fleet_documents_identical_batched_vs_sequential(
     tmp_path, monkeypatch
 ):
@@ -342,36 +300,41 @@ def test_fleet_documents_identical_batched_vs_sequential(
     def mutate(w, i):
         apply_drift(w.behavior, spec)
 
-    for drift_mutate in (None, mutate):
-        tag = "drift" if drift_mutate else "plain"
-        monkeypatch.setenv("REPRO_ENGINE", "compiled")
-        seq_dir = tmp_path / f"seq-{tag}"
-        simulate_fleet("181.mcf", "A", 4, seq_dir, base_seed=3, scale=0.1,
-                       epochs=2, mutate=drift_mutate)
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        bat_dir = tmp_path / f"bat-{tag}"
-        simulate_fleet("181.mcf", "A", 4, bat_dir, base_seed=3, scale=0.1,
-                       epochs=2, mutate=drift_mutate)
-        seq_docs = _fleet_bytes(seq_dir)
-        bat_docs = _fleet_bytes(bat_dir)
-        assert seq_docs and seq_docs == bat_docs, f"{tag} fleet diverged"
+    # Neither side may read traces the other one cached.
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    reset_default_cache()
+    try:
+        for drift_mutate in (None, mutate):
+            tag = "drift" if drift_mutate else "plain"
+            seq_dir = tmp_path / f"seq-{tag}"
+            per_client_fleet(seq_dir, 4, base_seed=3, scale=0.1, epochs=2,
+                             mutate=drift_mutate)
+            bat_dir = tmp_path / f"bat-{tag}"
+            simulate_fleet("181.mcf", "A", 4, bat_dir, base_seed=3,
+                           scale=0.1, epochs=2, mutate=drift_mutate)
+            seq_docs = _fleet_bytes(seq_dir)
+            bat_docs = _fleet_bytes(bat_dir)
+            assert len(seq_docs) == 4 and seq_docs == bat_docs, (
+                f"{tag} fleet diverged"
+            )
+    finally:
+        monkeypatch.undo()
+        reset_default_cache()
 
 
-def test_fleet_falls_back_when_mutate_rebuilds_program(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-
+def test_fleet_rejects_mutate_that_rebuilds_program(tmp_path):
     def rebuild(w, i):
         # Replacing the limits object steps outside the shared-binary
-        # contract; the fleet must quietly run per-client instead.
+        # contract the batched fleet runs under.
         w.limits = replace(w.limits)
 
-    clients = simulate_fleet("181.mcf", "A", 2, tmp_path / "f", base_seed=1,
-                             scale=0.05, mutate=rebuild)
-    assert len(clients) == 2
+    with pytest.raises(ValueError, match="shared binary"):
+        simulate_fleet("181.mcf", "A", 2, tmp_path / "f", base_seed=1,
+                       scale=0.05, mutate=rebuild)
+    assert not list((tmp_path / "f").glob("*.json"))
 
 
-def test_farm_jobs_invariant_with_batched_engine(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
+def test_farm_jobs_invariant_with_batched_engine(tmp_path):
     out = tmp_path / "profiles"
     simulate_fleet("134.perl", "C", runs=4, out_dir=out, base_seed=0,
                    scale=0.2)
